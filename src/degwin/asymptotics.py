@@ -287,10 +287,12 @@ def predict(
         raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     with mp.workdps(_BASE_DPS):
         t3sq = mp.mpf(cp.t3) ** 2
+        window = [
+            _bigA_delta_mp(cp, _excess_y(q), mu, variant) for q in range(q_max + 1)
+        ]
         weights = []
-        for q in range(q_max + 1):
+        for q, a in enumerate(window):
             e = wright_e(q)
-            a = _bigA_delta_mp(cp, _excess_y(q), mu, variant)
             w = mp.mpf(e.numerator) / mp.mpf(e.denominator) * t3sq**q * a
             weights.append(w)
         total = mp.fsum(weights)
@@ -301,8 +303,8 @@ def predict(
         planar_num = mp.mpf(0)
         for q in range(PLANAR_Q_MAX + 1):
             c = planar_c(q)
-            a = _bigA_delta_mp(cp, _excess_y(q), mu, variant)
-            planar_num += mp.mpf(c.numerator) / mp.mpf(c.denominator) * t3sq**q * a
+            w = mp.mpf(c.numerator) / mp.mpf(c.denominator) * t3sq**q * window[q]
+            planar_num += w
         planarity = float(planar_num / total)
         planar_tail = max(0.0, float(1.0 - sum(probs[: PLANAR_Q_MAX + 1])))
     if tail > 1e-6:

@@ -79,13 +79,8 @@ def _phi1_derivative(ds: DegreeSet, z: float) -> float:
     return (w2 + z * w3) / w1 - z * (w2 / w1) ** 2
 
 
-@lru_cache(maxsize=128)
-def critical_point(ds: DegreeSet) -> CriticalPoint:
-    """Solve phi1(zhat) = 1 and assemble the window constants.
-
-    Bracketing by doubling/halving, 80 bisection steps, then a short Newton
-    polish.  Deterministic: same inputs give bitwise-identical results.
-    """
+def _solve(ds: DegreeSet) -> CriticalPoint:
+    """The uncached solve behind ``critical_point``."""
     lo = hi = 1.0
     for _ in range(200):
         if phi1(ds, lo) < 1.0:
@@ -128,6 +123,28 @@ def critical_point(ds: DegreeSet) -> CriticalPoint:
     c3 = 2.0 * t3 * alpha * zhat / 3.0
     rho = zhat / w1
     return CriticalPoint(zhat=zhat, alpha=alpha, t3=t3, c2=c2, c3=c3, rho=rho)
+
+
+@lru_cache(maxsize=128)
+def _cached_solve(ds: DegreeSet, predicate) -> CriticalPoint:
+    return _solve(ds)
+
+
+def critical_point(ds: DegreeSet) -> CriticalPoint:
+    """Solve phi1(zhat) = 1 and assemble the window constants.
+
+    Bracketing by doubling/halving, 80 bisection steps, then a short Newton
+    polish.  Deterministic: same inputs give bitwise-identical results.
+    Results are cached per degree set and predicate object: two custom sets
+    that agree up to their bound compare equal, yet their widened tails (and
+    so their solutions) can differ.  ``critical_point.cache_clear()`` empties
+    the cache and ``critical_point.__wrapped__`` is the uncached solve.
+    """
+    return _cached_solve(ds, ds.predicate)
+
+
+critical_point.cache_clear = _cached_solve.cache_clear
+critical_point.__wrapped__ = _solve
 
 
 def tree_T(ds: DegreeSet, ell: int, z: float) -> float:

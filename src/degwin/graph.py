@@ -187,15 +187,21 @@ class PeelResult:
     order: tuple[int, ...]
 
 
-def two_core(g: Graph, lowest_first: bool = True) -> PeelResult:
+def two_core(
+    g: Graph, lowest_first: bool = True, vertices: Iterable[int] | None = None
+) -> PeelResult:
     """Peel vertices of degree <= 1 until only the 2-core remains.
 
     Peeling is confluent: the queue discipline (``lowest_first`` toggles it)
-    never changes the resulting core vertex set.
+    never changes the resulting core vertex set.  ``vertices`` restricts the
+    peel to a union of components (default: the whole graph); the
+    lowest-first peel removes the vertices in it in the same order, with the
+    same parents, as the whole-graph peel does.
     """
     adj = g.adj
+    verts = range(1, g.n + 1) if vertices is None else sorted(vertices)
     deg = [len(a) for a in adj]
-    queue = deque(v for v in range(1, g.n + 1) if deg[v] <= 1)
+    queue = deque(v for v in verts if deg[v] <= 1)
     removed = bytearray(g.n + 1)
     parent: dict[int, int | None] = {}
     order = []
@@ -211,7 +217,7 @@ def two_core(g: Graph, lowest_first: bool = True) -> PeelResult:
             deg[w] -= 1
             if deg[w] <= 1:
                 queue.append(w)
-    core = frozenset(v for v in range(1, g.n + 1) if not removed[v])
+    core = frozenset(v for v in verts if not removed[v])
     return PeelResult(core_vertices=core, parent=parent, order=tuple(order))
 
 

@@ -26,7 +26,6 @@ from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .asymptotics import PLANAR_Q_MAX, VARIANTS, predict
 from .critical import CriticalPoint, critical_point
@@ -488,7 +487,9 @@ def _excess_chi2(agg: PointAggregate, excess_dist) -> float:
         return 0.0
     mass = sum(excess_dist[:EXCESS_CHI2_RANGE])
     expected = np.array(excess_dist[:EXCESS_CHI2_RANGE]) / mass * captured
-    return float(scipy_stats.chisquare(observed, expected).pvalue)
+    from scipy.stats import chisquare  # here: most of a second of import time
+
+    return float(chisquare(observed, expected).pvalue)
 
 
 def compare_theory(

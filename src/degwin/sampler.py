@@ -12,8 +12,11 @@ prod_v d_v! pairings, so the two factors cancel and accepted graphs are
 Reproducibility contract: trial t of experiment point k draws from
 ``trial_generator(seed, t, k)``, and every attempt consumes exactly one
 ``random(n)`` block followed by one ``permutation(2m)`` block from that
-generator.  The lockstep batch driver interleaves trials but keeps each
-trial's private stream identical, so batched and one-at-a-time runs produce
+generator.  The trial's graph is its first simple attempt in stream order.
+The batch driver may draw attempts ahead of that one; the unused ones are
+discarded, and the generator is left exactly after the accepted attempt, as
+if the trial had stopped there.  Each trial's private stream is identical
+however the trials are batched, so batched and one-at-a-time runs produce
 bit-identical graphs.
 """
 
@@ -36,6 +39,10 @@ from .graph import Graph
 NEG_INF = float("-inf")
 DEFAULT_MAX_ATTEMPTS = 10_000
 _ENUM_MAX_N = 12
+# Rows walked per round of ``sample_batch``, shared among the active trials.
+# A round's fixed cost (the n-step loop) is that of roughly 100-200 rows, so
+# drawing a few attempts ahead per trial is cheaper than a round per attempt.
+_ROUND_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -99,10 +106,11 @@ def _degree_arrays(ds: DegreeSet, two_m: int):
 def _walk_batch(
     dp: DPTable, degs: np.ndarray, logfact: np.ndarray, u_block: np.ndarray
 ) -> np.ndarray:
-    """Draw one degree sequence per row of uniforms, all trials in lockstep.
+    """Draw one degree sequence per row of uniforms, all rows in lockstep.
 
     Row t consumes u_block[t, 0], u_block[t, 1], ... for coordinates
-    d_n, d_{n-1}, ..., d_1, exactly as the scalar recursion would.
+    d_n, d_{n-1}, ..., d_1, exactly as the scalar recursion would; its
+    sequence does not depend on which other rows share the block.
     """
     t_count, n = u_block.shape
     logw = dp.logw
@@ -208,11 +216,17 @@ def sample_batch(
     rngs: list[np.random.Generator],
     max_attempts: int = DEFAULT_MAX_ATTEMPTS,
 ) -> tuple[list[Graph], list[int]]:
-    """Rejection-sample one simple graph per generator, trials in lockstep.
+    """Rejection-sample one simple graph per generator, trials in rounds.
 
     Both the degree sequence and the pairing are redrawn on every attempt.
-    Returns the graphs and per-trial attempt counts; raises MaxAttemptsError
-    if any trial exhausts its budget.
+    Each round, every trial still without a graph draws one or more attempts
+    ahead (about ``_ROUND_ROWS`` rows in all, never beyond ``max_attempts``),
+    and all of them are walked together.  A trial takes its first simple
+    attempt; the attempts it drew after that one are discarded and its
+    generator is reset to the state right after the accepted attempt, so the
+    graphs, the counts and the generators match drawing one attempt at a
+    time.  Returns the graphs and per-trial attempt counts; raises
+    MaxAttemptsError if any trial exhausts its budget.
     """
     n, two_m = dp.n, dp.two_m
     if not dp.feasible:
@@ -220,24 +234,41 @@ def sample_batch(
     degs, logfact = _degree_arrays(ds, two_m)
     graphs: list[Graph | None] = [None] * len(rngs)
     attempts = [0] * len(rngs)
-    active = list(range(len(rngs)))
-    for attempt in range(1, max_attempts + 1):
-        u_block = np.stack([rngs[t].random(n) for t in active])
-        seqs = _walk_batch(dp, degs, logfact, u_block)
+    active = list(range(len(rngs))) if max_attempts > 0 else []
+    u_block = np.empty((max(_ROUND_ROWS, len(active)), n))
+    while active:
+        ahead = max(1, _ROUND_ROWS // len(active))
+        draws = [min(ahead, max_attempts - attempts[t]) for t in active]
+        perms, states = [], []
+        row = 0
+        for t, k in zip(active, draws):
+            rng = rngs[t]
+            for _ in range(k):
+                rng.random(out=u_block[row])
+                perms.append(rng.permutation(two_m))
+                states.append(rng.bit_generator.state)
+                row += 1
+        seqs = _walk_batch(dp, degs, logfact, u_block[:row])
         remaining = []
-        for row, t in enumerate(active):
-            pairs = _simple_pairs_or_none(seqs[row], rngs[t].permutation(two_m), n)
-            if pairs is None:
-                remaining.append(t)
+        row = 0
+        for t, k in zip(active, draws):
+            for j in range(row, row + k):
+                pairs = _simple_pairs_or_none(seqs[j], perms[j], n)
+                if pairs is not None:
+                    graphs[t] = Graph.from_simple_arrays(n, *pairs)
+                    attempts[t] += j - row + 1
+                    rngs[t].bit_generator.state = states[j]
+                    break
             else:
-                graphs[t] = Graph.from_simple_arrays(n, *pairs)
-                attempts[t] = attempt
+                attempts[t] += k
+                if attempts[t] < max_attempts:
+                    remaining.append(t)
+            row += k
         active = remaining
-        if not active:
-            break
-    if active:
+    failed = sum(g is None for g in graphs)
+    if failed:
         raise MaxAttemptsError(
-            f"{len(active)} of {len(rngs)} trials found no simple graph in "
+            f"{failed} of {len(rngs)} trials found no simple graph in "
             f"{max_attempts} attempts (n={n}, m={two_m // 2}, degrees={ds})"
         )
     return graphs, attempts

@@ -489,15 +489,14 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
             planar=True,
             attempts=attempts,
         )
-    peel = two_core(g)
+    complex_vertices = [v for comp in complex_comps for v in comp.vertices]
+    peel = two_core(g, vertices=complex_vertices)
     sprouts = sprout_data(g, peel)
-    complex_vertices: list[int] = []
     total_excess = 0
     diam = lp = circ = 0
     planar = True
     lengths_exact = True
     for comp in complex_comps:
-        complex_vertices.extend(comp.vertices)
         total_excess += comp.excess
         kern = kernel(g, comp, peel, sprouts, detail=True)
         if kern.excess > MAX_KERNEL_EXCESS:

@@ -32,7 +32,6 @@ from fractions import Fraction
 from typing import Callable
 
 import numpy as np
-from scipy import stats as sps
 
 import mpmath as mp
 
@@ -301,7 +300,9 @@ def _pairing_uniformity(rec: _Recorder, seed: int, accepted_target: int) -> None
         key = 0 if (1, 3) in edges else 1
         counts[key] += 1
         accepted += 1
-    chi2, p = sps.chisquare([counts[0], counts[1]])
+    from scipy.stats import chisquare  # here: most of a second of import time
+
+    chi2, p = chisquare([counts[0], counts[1]])
     rec.check(
         "pairing conditional uniformity",
         p > CHI2_MIN_P,
@@ -317,7 +318,9 @@ def _degree_position_uniformity(rec: _Recorder, seed: int, draws: int) -> None:
     for t in range(draws):
         seq = sample_degree_sequence(dp, ds, trial_generator(seed, t, point_index=303))
         counts[int(np.argmax(seq))] += 1
-    chi2, p = sps.chisquare(counts)
+    from scipy.stats import chisquare  # here: most of a second of import time
+
+    chi2, p = chisquare(counts)
     rec.check(
         "degree-position uniformity",
         p > CHI2_MIN_P,

@@ -16,7 +16,7 @@ from degwin.critical import (
     unicycle_V,
     unrooted_U,
 )
-from degwin.degset import egf_eval, parse_degree_set, phi0, phi1
+from degwin.degset import DegreeSet, egf_eval, parse_degree_set, phi0, phi1
 from degwin.errors import ConvergenceError, OutOfRangeError, SingularityError
 
 # Frozen by an independent 40-digit bisection on phi1(z) = 1.
@@ -67,6 +67,25 @@ class TestCriticalPoint:
     def test_deterministic_and_cached(self):
         ds = parse_degree_set("1,3,5,7")
         assert critical_point(ds) is critical_point(parse_degree_set("1,3,5,7"))
+
+    def test_cache_tells_custom_tails_apart(self):
+        # Equal at bound 8, so the two sets compare equal, but the second
+        # widens to every degree >= 9 and has its own critical point.
+        sparse = DegreeSet.from_predicate(lambda d: d in (1, 3), bound=8)
+        dense = DegreeSet.from_predicate(lambda d: d in (1, 3) or d >= 9, bound=8)
+        assert sparse == dense
+        assert critical_point(sparse).alpha == pytest.approx(0.75, abs=1e-12)
+        cp = critical_point(dense)
+        assert cp == critical_point.__wrapped__(dense)
+        assert cp.alpha == pytest.approx(0.74952, abs=1e-5)
+        assert critical_point(dense) is cp
+
+    def test_cache_clear_empties_the_cache(self):
+        ds = parse_degree_set("1,3,5,7")
+        first = critical_point(ds)
+        critical_point.cache_clear()
+        again = critical_point(ds)
+        assert again == first and again is not first
 
 
 class TestTreeSeries:

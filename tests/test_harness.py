@@ -523,11 +523,15 @@ class TestCompareTheory:
         assert 0.0 <= point.nonplanar_pred < 1.0
         assert 0.0 <= point.excess_pvalue <= 1.0
         assert point.excess_ok == (point.excess_pvalue > 1e-3)
-        for pred, obs, z, ok in [
-            (point.survival_pred, point.survival_obs, point.survival_z, point.survival_ok),
-            (point.nonplanar_pred, point.nonplanar_obs, point.nonplanar_z, point.nonplanar_ok),
+        # The non-planarity rate is among the trials of excess <= 4, so its
+        # sigma divides by their count, not by all trials.
+        for pred, obs, z, ok, trials in [
+            (point.survival_pred, point.survival_obs, point.survival_z,
+             point.survival_ok, agg.trials),
+            (point.nonplanar_pred, point.nonplanar_obs, point.nonplanar_z,
+             point.nonplanar_ok, len(low)),
         ]:
-            sigma = math.sqrt(pred * (1.0 - pred) / agg.trials)
+            sigma = math.sqrt(pred * (1.0 - pred) / trials)
             assert z == pytest.approx((obs - pred) / sigma, rel=1e-12)
             assert ok == (abs(obs - pred) <= 3.0 * sigma + ACCEPT_SLACK)
 
@@ -591,6 +595,19 @@ class TestCompareTheory:
         (point,) = compare_theory(table_of([agg]), cp).points
         assert point.excess_pvalue == 0.0
         assert not point.excess_ok
+
+    def test_nonplanar_sigma_counts_only_low_excess_trials(self):
+        # 500 of the 2000 trials have excess >= 5; the conditional rate is
+        # over the other 1500, and so is its binomial sigma.
+        agg = synthetic_aggregate(
+            excess_histogram=((0, 1200), (1, 200), (2, 100), (6, 500)),
+            nonplanar_rate_low_excess=0.01,
+        )
+        cp = critical_point(parse_degree_set("1,3"))
+        (point,) = compare_theory(table_of([agg]), cp).points
+        pred = point.nonplanar_pred
+        sigma = math.sqrt(pred * (1.0 - pred) / 1500)
+        assert point.nonplanar_z == pytest.approx((0.01 - pred) / sigma, rel=1e-12)
 
     def test_passed_requires_every_gate(self):
         base = dict(

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -9,9 +10,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degwin import sampler
 from degwin.degset import parse_degree_set
 from degwin.errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from degwin.sampler import (
+    DEFAULT_MAX_ATTEMPTS,
     _simple_edges_or_none,
     build_dp,
     edges_for_mu,
@@ -273,6 +276,92 @@ class TestRejectionSampler:
         assert a1 == a2
         assert len(set(g1.edges)) == m
         assert all(u != v for u, v in g1.edges)
+
+
+def reference_attempts(ds, dp, rng, max_attempts):
+    """One attempt at a time, as the contract states it: a ``random(n)`` walk,
+    then a ``permutation(2m)`` pairing, until the pairing is simple.
+
+    Returns (edges or None, attempts drawn)."""
+    for attempt in range(1, max_attempts + 1):
+        seq = sample_degree_sequence(dp, ds, rng)
+        edges = _simple_edges_or_none(seq, rng.permutation(dp.two_m), dp.n)
+        if edges is not None:
+            return edges, attempt
+    return None, max_attempts
+
+
+# 12 trials of 1,3,5,7 at n = 20, m = 25 need 2 to 54 attempts each.
+HARD_CONFIG = ("1,3,5,7", 20, 25)
+
+
+class TestRoundsOfAttempts:
+    """``sample_batch`` draws attempts ahead in rounds; nothing it returns or
+    leaves in a generator may depend on how many it draws per round."""
+
+    @pytest.mark.parametrize("round_rows", [1, 64, 10**4])
+    @pytest.mark.parametrize(
+        "spec, n, m", [HARD_CONFIG, ("1,3,5,7", 10, 9), ("1,3", 8, 5)]
+    )
+    def test_matches_one_attempt_at_a_time(self, monkeypatch, round_rows, spec, n, m):
+        monkeypatch.setattr(sampler, "_ROUND_ROWS", round_rows)
+        ds = parse_degree_set(spec)
+        dp = build_dp(ds, n, 2 * m)
+        rngs = [trial_generator(4, t) for t in range(12)]
+        graphs, attempts = sample_batch(ds, dp, rngs)
+        for t in range(12):
+            ref = trial_generator(4, t)
+            edges, want = reference_attempts(ds, dp, ref, DEFAULT_MAX_ATTEMPTS)
+            assert list(graphs[t].edges) == sorted(edges)
+            assert attempts[t] == want
+            assert np.array_equal(rngs[t].random(3), ref.random(3))
+
+    @pytest.mark.parametrize("round_rows", [1, 64, 10**4])
+    def test_success_on_the_last_allowed_attempt(self, monkeypatch, round_rows):
+        monkeypatch.setattr(sampler, "_ROUND_ROWS", round_rows)
+        spec, n, m = HARD_CONFIG
+        ds = parse_degree_set(spec)
+        dp = build_dp(ds, n, 2 * m)
+        ref = trial_generator(4, 0)
+        _, need = reference_attempts(ds, dp, ref, DEFAULT_MAX_ATTEMPTS)
+        assert need == 54
+        rng = trial_generator(4, 0)
+        _, attempts = sample_batch(ds, dp, [rng], max_attempts=need)
+        assert attempts == [need]
+        assert np.array_equal(rng.random(3), ref.random(3))
+        with pytest.raises(MaxAttemptsError, match="1 of 1 trials"):
+            sample_batch(ds, dp, [trial_generator(4, 0)], max_attempts=need - 1)
+
+    @pytest.mark.parametrize("round_rows", [1, 64, 10**4])
+    def test_exhausted_trials_draw_exactly_the_budget(self, monkeypatch, round_rows):
+        monkeypatch.setattr(sampler, "_ROUND_ROWS", round_rows)
+        spec, n, m = HARD_CONFIG
+        ds = parse_degree_set(spec)
+        dp = build_dp(ds, n, 2 * m)
+        budget = 20
+        rngs = [trial_generator(4, t) for t in range(12)]
+        refs = [trial_generator(4, t) for t in range(12)]
+        failed = sum(
+            reference_attempts(ds, dp, ref, budget)[0] is None for ref in refs
+        )
+        assert failed == 6
+        message = (
+            f"{failed} of 12 trials found no simple graph in {budget} attempts "
+            f"(n={n}, m={m}, degrees={ds})"
+        )
+        with pytest.raises(MaxAttemptsError, match=re.escape(message)):
+            sample_batch(ds, dp, rngs, max_attempts=budget)
+        # Every generator stops where the one-at-a-time loop leaves it: after
+        # the accepted attempt, or after exactly ``budget`` attempts.
+        for rng, ref in zip(rngs, refs):
+            assert np.array_equal(rng.random(3), ref.random(3))
+
+    def test_no_budget_fails_every_trial(self):
+        ds = parse_degree_set("1,3")
+        dp = build_dp(ds, 8, 10)
+        rngs = [trial_generator(0, t) for t in range(3)]
+        with pytest.raises(MaxAttemptsError, match="3 of 3 trials .* in 0 attempts"):
+            sample_batch(ds, dp, rngs, max_attempts=0)
 
 
 class TestEdgesForMu:
