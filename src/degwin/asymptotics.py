@@ -326,27 +326,6 @@ def predict(
     )
 
 
-def excess_distribution(
-    cp: CriticalPoint, mu: float, variant: str = "scaled", q_max: int = 20
-) -> tuple[float, ...]:
-    """P(total excess of the complex part = q) for q = 0..q_max."""
-    return predict(cp, mu, variant, q_max).excess_dist
-
-
-def survival_probability(
-    cp: CriticalPoint, mu: float, variant: str = "scaled", q_max: int = 20
-) -> float:
-    """P(no complex part): all components are trees or unicycles."""
-    return predict(cp, mu, variant, q_max).survival
-
-
-def planarity_probability(
-    cp: CriticalPoint, mu: float, variant: str = "scaled", q_max: int = 20
-) -> float:
-    """P(planar and excess <= 4): the lower bound ``predict(...).planarity``."""
-    return predict(cp, mu, variant, q_max).planarity
-
-
 @dataclass(frozen=True)
 class TwoPathConstants:
     """Scale constants of the longest 2-path in a complex part of excess q.

@@ -41,7 +41,3 @@ class InfeasibleError(RuntimeError):
 
 class MaxAttemptsError(RuntimeError):
     """Rejection sampling exhausted its attempt budget without a simple graph."""
-
-
-class StatisticalFailure(RuntimeError):
-    """A Monte Carlo acceptance check failed beyond its allowed slack."""

@@ -21,6 +21,7 @@ The JSONL wire format is one object per line: {"n": int, "edges": [[u, v],
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -410,15 +411,8 @@ def compensation_factor(k: KernelMultigraph) -> Fraction:
     for c in loops.values():
         denom *= 2**c
     for c in mult.values():
-        denom *= _factorial(c)
+        denom *= math.factorial(c)
     return Fraction(1, denom)
-
-
-def _factorial(c: int) -> int:
-    out = 1
-    for i in range(2, c + 1):
-        out *= i
-    return out
 
 
 def to_jsonl_line(g: Graph) -> str:

@@ -6,12 +6,8 @@ summarises each graph, and aggregates per point.  Trial t of point k always
 draws from ``trial_generator(seed, t, k)``, so the emitted rows are
 bit-identical across chunkings and process counts.
 
-CSV schema (one row per trial; ``planar`` encoded 1/0; empty-complex-part
-sentinels are -1 in the complex_* length columns):
-
-    trial,n,m,realized_mu,attempts,largest_component,largest_excess,
-    total_excess,complex_size,complex_diameter,complex_longest_path,
-    complex_circumference,planar
+One row per trial: the fields of ``TrialRow``, in declaration order, are
+the CSV columns and the JSON row cells (``planar`` encoded 1/0).
 """
 
 from __future__ import annotations
@@ -22,8 +18,9 @@ import json
 import math
 import warnings
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -40,22 +37,6 @@ from .sampler import (
     trial_generator,
 )
 from .stats import GraphSummary, summarize
-
-CSV_COLUMNS = (
-    "trial",
-    "n",
-    "m",
-    "realized_mu",
-    "attempts",
-    "largest_component",
-    "largest_excess",
-    "total_excess",
-    "complex_size",
-    "complex_diameter",
-    "complex_longest_path",
-    "complex_circumference",
-    "planar",
-)
 
 CHUNK_TRIALS = 256
 ACCEPT_SLACK = 0.02
@@ -177,55 +158,35 @@ def resolve_points(cfg: ExperimentConfig, ds: DegreeSet) -> tuple[ExperimentPoin
 
 
 @dataclass(frozen=True)
-class TrialRow:
-    """One sampled graph, flattened to the CSV schema."""
+class _RowKey:
+    """The sweep point and trial a row belongs to."""
 
     trial: int
     n: int
     m: int
     realized_mu: float
-    attempts: int
-    largest_component: int
-    largest_excess: int
-    total_excess: int
-    complex_size: int
-    complex_diameter: int
-    complex_longest_path: int
-    complex_circumference: int
-    planar: bool
+
+
+@dataclass(frozen=True)
+class TrialRow(GraphSummary, _RowKey):
+    """One sampled graph: the point key, then its ``GraphSummary`` fields.
+
+    Dataclass fields follow the reversed MRO, so the key comes first; the
+    field order is the CSV column order.
+    """
 
     @classmethod
     def from_summary(
         cls, trial: int, n: int, m: int, realized_mu: float, s: GraphSummary
     ) -> "TrialRow":
-        return cls(
-            trial=trial,
-            n=n,
-            m=m,
-            realized_mu=realized_mu,
-            attempts=s.attempts,
-            largest_component=s.largest_component_size,
-            largest_excess=s.largest_excess,
-            total_excess=s.total_excess,
-            complex_size=s.complex_part_size,
-            complex_diameter=s.complex_diameter,
-            complex_longest_path=s.complex_longest_path,
-            complex_circumference=s.complex_circumference,
-            planar=s.planar,
-        )
+        return cls(trial, n, m, realized_mu, **vars(s))
 
-    def summary(self) -> GraphSummary:
-        return GraphSummary(
-            largest_component_size=self.largest_component,
-            largest_excess=self.largest_excess,
-            total_excess=self.total_excess,
-            complex_part_size=self.complex_size,
-            complex_diameter=self.complex_diameter,
-            complex_longest_path=self.complex_longest_path,
-            complex_circumference=self.complex_circumference,
-            planar=self.planar,
-            attempts=self.attempts,
-        )
+
+CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
+_CELL_PARSERS = tuple(
+    (lambda c: bool(int(c))) if t is bool else t
+    for t in map(get_type_hints(TrialRow).get, CSV_COLUMNS)
+)
 
 
 @dataclass(frozen=True)
@@ -332,7 +293,7 @@ class ResultTable:
     def validate(self) -> None:
         """Row-level invariants plus exact aggregate reproducibility."""
         for row in self.rows:
-            row.summary().validate()
+            row.validate()
         if aggregate_rows(self.rows) != self.aggregates:
             raise ValueError("aggregates do not match their rows")
 
@@ -578,29 +539,14 @@ def _cell(value) -> str:
     return f"{value:.9g}"
 
 
+def _values(row: TrialRow) -> list:
+    return [getattr(row, name) for name in CSV_COLUMNS]
+
+
 def render_csv(rt: ResultTable) -> str:
     lines = [",".join(CSV_COLUMNS)]
     for r in rt.rows:
-        lines.append(
-            ",".join(
-                _cell(v)
-                for v in (
-                    r.trial,
-                    r.n,
-                    r.m,
-                    r.realized_mu,
-                    r.attempts,
-                    r.largest_component,
-                    r.largest_excess,
-                    r.total_excess,
-                    r.complex_size,
-                    r.complex_diameter,
-                    r.complex_longest_path,
-                    r.complex_circumference,
-                    r.planar,
-                )
-            )
-        )
+        lines.append(",".join(_cell(v) for v in _values(r)))
     return "\n".join(lines) + "\n"
 
 
@@ -611,21 +557,7 @@ def render_json(rt: ResultTable) -> str:
         "variant": rt.variant,
         "columns": list(CSV_COLUMNS),
         "rows": [
-            [
-                r.trial,
-                r.n,
-                r.m,
-                r.realized_mu,
-                r.attempts,
-                r.largest_component,
-                r.largest_excess,
-                r.total_excess,
-                r.complex_size,
-                r.complex_diameter,
-                r.complex_longest_path,
-                r.complex_circumference,
-                1 if r.planar else 0,
-            ]
+            [int(v) if isinstance(v, bool) else v for v in _values(r)]
             for r in rt.rows
         ],
         "aggregates": [asdict(a) for a in rt.aggregates],
@@ -649,12 +581,12 @@ def emit(rt: ResultTable, fmt: str, path) -> Path:
     return path
 
 
-def parse_csv(source) -> tuple[TrialRow, ...]:
-    """Read rows back from a CSV file or string; validates each row."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = str(source)
+def parse_csv(source: str | Path) -> tuple[TrialRow, ...]:
+    """Read rows back from a CSV file (a ``Path``) or CSV text (a ``str``).
+
+    Validates each row.
+    """
+    text = source.read_text(encoding="utf-8") if isinstance(source, Path) else source
     reader = csv.reader(io.StringIO(text))
     header = next(reader, None)
     if header != list(CSV_COLUMNS):
@@ -665,21 +597,7 @@ def parse_csv(source) -> tuple[TrialRow, ...]:
             continue
         if len(parts) != len(CSV_COLUMNS):
             raise ValueError(f"bad CSV row: {parts!r}")
-        row = TrialRow(
-            trial=int(parts[0]),
-            n=int(parts[1]),
-            m=int(parts[2]),
-            realized_mu=float(parts[3]),
-            attempts=int(parts[4]),
-            largest_component=int(parts[5]),
-            largest_excess=int(parts[6]),
-            total_excess=int(parts[7]),
-            complex_size=int(parts[8]),
-            complex_diameter=int(parts[9]),
-            complex_longest_path=int(parts[10]),
-            complex_circumference=int(parts[11]),
-            planar=bool(int(parts[12])),
-        )
-        row.summary().validate()
+        row = TrialRow(*(parse(cell) for parse, cell in zip(_CELL_PARSERS, parts)))
+        row.validate()
         rows.append(row)
     return tuple(rows)

@@ -205,11 +205,6 @@ def _simple_pairs_or_none(seq: np.ndarray, perm: np.ndarray, n: int):
     return u, v
 
 
-def _simple_edges_or_none(seq: np.ndarray, perm: np.ndarray, n: int):
-    pairs = _simple_pairs_or_none(seq, perm, n)
-    return None if pairs is None else list(zip(pairs[0].tolist(), pairs[1].tolist()))
-
-
 def sample_batch(
     ds: DegreeSet,
     dp: DPTable,

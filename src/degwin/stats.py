@@ -41,8 +41,10 @@ MAX_KERNEL_VERTICES = 5000
 
 @dataclass(frozen=True)
 class GraphSummary:
-    """Per-graph structure summary; the harness serialises these as rows.
+    """Per-graph structure summary, under the names of its CSV columns.
 
+    ``attempts`` counts the configuration-model attempts the graph took
+    (``harness.TrialRow`` puts the sweep point and trial in front).
     Sentinels when the complex part is empty: sizes 0, lengths -1, planar
     True.  A nonempty complex part whose excess lies beyond the exhaustive
     path-search guard also reports longest path and circumference as -1
@@ -52,18 +54,18 @@ class GraphSummary:
     information).
     """
 
-    largest_component_size: int
+    attempts: int
+    largest_component: int
     largest_excess: int
     total_excess: int
-    complex_part_size: int
+    complex_size: int
     complex_diameter: int
     complex_longest_path: int
     complex_circumference: int
     planar: bool
-    attempts: int = 0
 
     def validate(self) -> None:
-        if self.complex_part_size == 0:
+        if self.complex_size == 0:
             ok = (
                 self.total_excess == 0
                 and self.complex_diameter == -1
@@ -88,7 +90,7 @@ class GraphSummary:
                 and 0 <= self.complex_diameter <= self.complex_longest_path
                 and 3 <= self.complex_circumference
                 and self.complex_circumference <= self.complex_longest_path + 1
-                and self.complex_longest_path < self.complex_part_size
+                and self.complex_longest_path < self.complex_size
             )
             if not ok:
                 raise ValueError(f"inconsistent complex summary: {self}")
@@ -479,15 +481,15 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
     ]
     if not complex_comps:
         return GraphSummary(
-            largest_component_size=largest,
+            attempts=attempts,
+            largest_component=largest,
             largest_excess=largest_excess,
             total_excess=0,
-            complex_part_size=0,
+            complex_size=0,
             complex_diameter=-1,
             complex_longest_path=-1,
             complex_circumference=-1,
             planar=True,
-            attempts=attempts,
         )
     complex_vertices = [v for comp in complex_comps for v in comp.vertices]
     peel = two_core(g, vertices=complex_vertices)
@@ -512,13 +514,13 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
     if not lengths_exact:
         lp = circ = -1
     return GraphSummary(
-        largest_component_size=largest,
+        attempts=attempts,
+        largest_component=largest,
         largest_excess=largest_excess,
         total_excess=total_excess,
-        complex_part_size=len(complex_vertices),
+        complex_size=len(complex_vertices),
         complex_diameter=diam,
         complex_longest_path=lp,
         complex_circumference=circ,
         planar=planar,
-        attempts=attempts,
     )

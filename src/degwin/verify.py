@@ -20,6 +20,10 @@ The variant discrepancy report (the two printed window-function forms at
 mu = +/-1 for {1,3}) is emitted here as well: the forms agree at mu = 0 and
 demonstrably differ off-centre, which is documented rather than silently
 resolved.
+
+Each section is a function that returns its ``VerifyCheck``s and takes its
+generator, case counts and families as arguments; ``run_verify`` chains them
+at its own sizes, and the acceptance tests call the same functions at theirs.
 """
 
 from __future__ import annotations
@@ -48,10 +52,10 @@ from .asymptotics import (
 from .critical import critical_point, petrov_profile, root1
 from .degset import parse_degree_set
 from .errors import InfeasibleError
-from .harness import ExperimentConfig, compare_theory, run_experiment
+from .harness import ExperimentConfig, PointAggregate, compare_theory, run_experiment
 from .sampler import (
     _exact_weight_sum,
-    _simple_edges_or_none,
+    _simple_pairs_or_none,
     build_dp,
     sample_degree_sequence,
     step_distribution,
@@ -96,96 +100,105 @@ class VerifyReport:
         return all(c.ok for c in self.checks if c.gated)
 
 
-class _Recorder:
-    def __init__(self, log: Callable[[str], None]):
-        self._log = log
-        self.checks: list[VerifyCheck] = []
-
-    def check(self, name: str, ok: bool, detail: str) -> None:
-        self.checks.append(VerifyCheck(name, True, ok, detail))
-        self._log(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-
-    def info(self, name: str, detail: str) -> None:
-        self.checks.append(VerifyCheck(name, False, True, detail))
-        self._log(f"info {name}: {detail}")
+def _check(name: str, ok: bool, detail: str) -> VerifyCheck:
+    return VerifyCheck(name, True, ok, detail)
 
 
-def _thresholds(rec: _Recorder) -> None:
+def _info(name: str, detail: str) -> VerifyCheck:
+    return VerifyCheck(name, False, True, detail)
+
+
+def thresholds() -> list[VerifyCheck]:
+    """alpha of each THRESHOLD_CASES entry inside its band, with solve time."""
+    checks = []
     for spec, target, tol in THRESHOLD_CASES:
         ds = parse_degree_set(spec)
         t0 = time.perf_counter()
         cp = critical_point(ds)
         ms = (time.perf_counter() - t0) * 1e3
         err = abs(cp.alpha - target)
-        rec.check(
+        checks.append(_check(
             f"threshold {spec}",
             err <= tol,
             f"alpha = {cp.alpha:.9f}, |err| = {err:.2e} (tol {tol:g}), {ms:.2f} ms",
-        )
+        ))
+    return checks
+
+
+def closed_forms() -> list[VerifyCheck]:
+    """The critical constants of {1,3} against their hand-derived values."""
     cp = critical_point(parse_degree_set("1,3"))
     worst = max(abs(getattr(cp, k) - v) for k, v in CLOSED_FORM_13.items())
-    rec.check(
+    return [_check(
         "closed forms {1,3}",
         worst <= 1e-9,
         f"max |err| over (zhat, alpha, t3, c2, c3) = {worst:.2e} (tol 1e-9)",
-    )
+    )]
 
 
-def _exact_constants(rec: _Recorder) -> None:
+def exact_constants() -> list[VerifyCheck]:
+    """Exact rational kernel weights e1, e2 and planar c3 < e3."""
     e1, e2, e3 = wright_e(1), wright_e(2), wright_e(3)
     c3 = planar_c(3)
-    rec.check(
-        "connected-kernel weights",
-        e1 == Fraction(5, 24) and e2 == Fraction(385, 1152),
-        f"e1 = {e1}, e2 = {e2} (exact rational comparison)",
-    )
-    rec.check(
-        "planar-kernel weight",
-        c3 == Fraction(83933, 82944) and c3 < e3,
-        f"c3 = {c3} < e3 = {e3}",
-    )
+    return [
+        _check(
+            "connected-kernel weights",
+            e1 == Fraction(5, 24) and e2 == Fraction(385, 1152),
+            f"e1 = {e1}, e2 = {e2} (exact rational comparison)",
+        ),
+        _check(
+            "planar-kernel weight",
+            c3 == Fraction(83933, 82944) and c3 < e3,
+            f"c3 = {c3} < e3 = {e3}",
+        ),
+    ]
 
 
-def _classical_identities(rec: _Recorder) -> None:
+def classical_identities() -> list[VerifyCheck]:
+    """Survival, partition of unity and both tails of the classical window."""
     root_2pi = math.sqrt(2.0 * math.pi)
     survival = root_2pi * bigA_classical(0.5, 0.0)
     err = abs(survival - math.sqrt(2.0 / 3.0))
-    rec.check(
-        "classical survival value",
-        err <= 1e-6,
-        f"sqrt(2 pi) A(1/2, 0) = {survival:.9f} vs sqrt(2/3), |err| = {err:.2e}",
-    )
     total = root_2pi * math.fsum(
         float(wright_e(q)) * bigA_classical(3 * q + 0.5, 0.0) for q in range(21)
     )
-    rec.check(
-        "classical partition sum",
-        abs(total - 1.0) <= 1e-3,
-        f"sqrt(2 pi) sum_(q<=20) e_q A(3q+1/2, 0) = {total:.6f}, |err| = {abs(total - 1.0):.2e}",
-    )
-    series = bigA_classical(0.5, -8.0)
-    asym = bigA_asymptotic(0.5, -8.0, "minus")
-    rel = abs(series / asym - 1.0)
-    rec.check(
-        "left-tail expansion",
-        rel <= 10.0 * 8.0**-6,
-        f"mu = -8: series vs expansion, rel err {rel:.2e} (tol {10.0 * 8.0**-6:.2e})",
-    )
+    left = abs(bigA_classical(0.5, -8.0) / bigA_asymptotic(0.5, -8.0, "minus") - 1.0)
     series = bigA_classical(0.5, 8.0)
     two_term = bigA_asymptotic(0.5, 8.0, "plus")
     with mp.workdps(30):
         lead = mp.e ** (-mp.mpf(8) ** 3 / 6) / (mp.mpf(2) ** 0.25 * mp.mpf(8) ** 0.75)
         one_term = float(lead * mp.rgamma(0.25))
     lo, hi = sorted((one_term, two_term))
-    rec.check(
-        "right-tail bracket",
-        lo <= series <= hi,
-        f"mu = +8: series {series:.4e} inside [{lo:.4e}, {hi:.4e}]",
-    )
+    return [
+        _check(
+            "classical survival value",
+            err <= 1e-6,
+            f"sqrt(2 pi) A(1/2, 0) = {survival:.9f} vs sqrt(2/3), |err| = {err:.2e} "
+            f"(tol 1e-6)",
+        ),
+        _check(
+            "classical partition sum",
+            abs(total - 1.0) <= 1e-3,
+            f"sqrt(2 pi) sum_(q<=20) e_q A(3q+1/2, 0) = {total:.6f}, "
+            f"|err| = {abs(total - 1.0):.2e} (tol 1e-3)",
+        ),
+        _check(
+            "left-tail expansion",
+            left <= 10.0 * 8.0**-6,
+            f"mu = -8: series vs expansion, rel err {left:.2e} (tol {10.0 * 8.0**-6:.2e})",
+        ),
+        _check(
+            "right-tail bracket",
+            lo <= series <= hi,
+            f"mu = +8: series {series:.4e} inside [{lo:.4e}, {hi:.4e}]",
+        ),
+    ]
 
 
-def _variant_agreement(rec: _Recorder) -> None:
-    for spec in DP_FAMILIES + (MC_DEGREES,):
+def variant_agreement(families) -> list[VerifyCheck]:
+    """Both printed window-function forms, raw and normalised, agree at mu = 0."""
+    checks = []
+    for spec in families:
         cp = critical_point(parse_degree_set(spec))
         raw = max(
             abs(bigA_delta(cp, y, 0.0, "scaled") / bigA_delta(cp, y, 0.0, "plain") - 1.0)
@@ -199,18 +212,22 @@ def _variant_agreement(rec: _Recorder) -> None:
                 preds["plain"].excess_dist + (preds["plain"].planarity,),
             )
         )
-        rec.check(
+        checks.append(_check(
             f"variant agreement at mu=0 ({{{spec}}})",
             raw <= 1e-12 and norm <= 1e-12,
-            f"raw forms rel diff {raw:.2e}; normalised P(q)/planarity diff {norm:.2e}",
-        )
-    # Discrepancy report: off-centre the two printed window-function forms
-    # disagree by a mu-dependent factor.
+            f"raw forms rel diff {raw:.2e}; normalised P(q)/planarity diff {norm:.2e} "
+            f"(tol 1e-12)",
+        ))
+    return checks
+
+
+def variant_discrepancy() -> list[VerifyCheck]:
+    """Off-centre the two printed forms disagree by a mu-dependent factor."""
     cp = critical_point(parse_degree_set("1,3"))
-    rec.info(
+    checks = [_info(
         "variant discrepancy",
         "the two printed window-function forms for {1,3} at mu = +/-1:",
-    )
+    )]
     for mu in (-1.0, 1.0):
         ratios = [
             bigA_delta(cp, y, mu, "scaled") / bigA_delta(cp, y, mu, "plain")
@@ -221,35 +238,38 @@ def _variant_agreement(rec: _Recorder) -> None:
             s_s = predict(cp, mu, "scaled", q_max=30).survival
             s_p = predict(cp, mu, "plain", q_max=30).survival
         spread = max(ratios) / min(ratios) - 1.0
-        rec.info(
+        checks.append(_info(
             f"variant discrepancy mu={mu:+g}",
             f"scaled/plain ratio = {ratios[0]:.6f} at y = 1/2, 7/2, 13/2 "
             f"(y-spread {spread:.1e}): the forms differ by a mu-dependent "
             f"constant factor; normalised survival {s_s:.6f} vs {s_p:.6f} "
             f"(delta {s_s - s_p:+.2e}) — the factor cancels in every "
             f"normalised ratio; documented, not resolved",
-        )
+        ))
+    return checks
 
 
-def _petrov(rec: _Recorder, seed: int, cases: int) -> None:
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+def saddle_profile(rng: np.random.Generator, cases: int) -> list[VerifyCheck]:
+    """Circle-profile argmax at the 2 pi k / p positions on random cases."""
     specs = ("1,3", "1,3,5,7", "0,1,4,5", "1,2,3", "1,2,4", "1,4", "pow2:16", "1,3,8")
     worst = 0.0
-    for i in range(cases):
+    for _ in range(cases):
         ds = parse_degree_set(specs[int(rng.integers(len(specs)))])
         cp = critical_point(ds)
         r = float(rng.uniform(0.55, 0.95))
         z0 = float(rng.uniform(0.3, 1.0)) * min(root1(ds, r), cp.zhat)
         prof = petrov_profile(ds, z0, r)
         worst = max(worst, prof.max_cell_offset)
-    rec.check(
+    return [_check(
         f"saddle-profile argmax ({cases} cases)",
         worst <= 1.0,
-        f"max grid offset from 2 pi k / p positions = {worst:g} cells (4096 grid)",
-    )
+        f"max grid offset from 2 pi k / p positions = {worst:g} cells "
+        f"(tol 1 cell, 4096 grid)",
+    )]
 
 
-def _dp_marginals(rec: _Recorder) -> None:
+def dp_marginals() -> list[VerifyCheck]:
+    """First-draw marginals of the float table against exact rationals, n <= 6."""
     worst = 0.0
     cases = 0
     for spec in DP_FAMILIES:
@@ -264,11 +284,12 @@ def _dp_marginals(rec: _Recorder) -> None:
                 for d, p in dist.items():
                     worst = max(worst, abs(p - float(_exact_marginal(ds, n, m, d))))
                     cases += 1
-    rec.check(
+    return [_check(
         "DP marginals vs exact rationals (n <= 6)",
         worst <= 1e-12,
-        f"max |float DP - Fraction recursion| = {worst:.2e} over {cases} marginals",
-    )
+        f"max |float DP - Fraction recursion| = {worst:.2e} over {cases} marginals "
+        f"(tol 1e-12)",
+    )]
 
 
 def _exact_marginal(ds, n: int, m: int, d: int) -> Fraction:
@@ -284,34 +305,33 @@ def _exact_marginal(ds, n: int, m: int, d: int) -> Fraction:
     return marg / total if total else Fraction(0)
 
 
-def _pairing_uniformity(rec: _Recorder, seed: int, accepted_target: int) -> None:
-    # (1,1,2,2) admits exactly two simple graphs (the two labellings of the
-    # 4-vertex path with the degree-2 vertices inside); conditioned on
-    # simplicity each must appear with probability 1/2.
+def pairing_uniformity(rng: np.random.Generator, accepted: int) -> list[VerifyCheck]:
+    """Both simple graphs on the sequence (1,1,2,2) equally likely after rejection.
+
+    (1,1,2,2) admits exactly two simple graphs (the two labellings of the
+    4-vertex path with the degree-2 vertices inside); conditioned on
+    simplicity each must appear with probability 1/2.
+    """
     seq = np.array([1, 1, 2, 2])
-    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(202,)))
-    counts = {0: 0, 1: 0}
-    accepted = 0
-    while accepted < accepted_target:
-        perm = rng.permutation(6)
-        edges = _simple_edges_or_none(seq, perm, 4)
-        if edges is None:
-            continue
-        key = 0 if (1, 3) in edges else 1
-        counts[key] += 1
-        accepted += 1
+    counts = [0, 0]
+    while sum(counts) < accepted:
+        pairs = _simple_pairs_or_none(seq, rng.permutation(6), 4)
+        if pairs is not None:
+            u, v = pairs
+            counts[0 if np.any((u == 1) & (v == 3)) else 1] += 1
     from scipy.stats import chisquare  # here: most of a second of import time
 
-    chi2, p = chisquare([counts[0], counts[1]])
-    rec.check(
+    p = chisquare(counts).pvalue
+    return [_check(
         "pairing conditional uniformity",
         p > CHI2_MIN_P,
-        f"seq (1,1,2,2): counts {counts[0]}/{counts[1]} over {accepted_target} "
+        f"seq (1,1,2,2): counts {counts[0]}/{counts[1]} over {accepted} "
         f"accepted, chi2 p = {p:.3g}",
-    )
+    )]
 
 
-def _degree_position_uniformity(rec: _Recorder, seed: int, draws: int) -> None:
+def degree_position_uniformity(seed: int, draws: int) -> list[VerifyCheck]:
+    """Each slot of {1,3}, n=4, m=3 equally likely to hold the degree 3."""
     ds = parse_degree_set("1,3")
     dp = build_dp(ds, 4, 6)
     counts = np.zeros(4, dtype=int)
@@ -320,50 +340,72 @@ def _degree_position_uniformity(rec: _Recorder, seed: int, draws: int) -> None:
         counts[int(np.argmax(seq))] += 1
     from scipy.stats import chisquare  # here: most of a second of import time
 
-    chi2, p = chisquare(counts)
-    rec.check(
+    p = chisquare(counts).pvalue
+    return [_check(
         "degree-position uniformity",
         p > CHI2_MIN_P,
         f"{{1,3}}, n=4, m=3: degree-3 slot counts {counts.tolist()}, chi2 p = {p:.3g}",
-    )
+    )]
 
 
-def _monte_carlo(rec: _Recorder, seed: int, trials: int) -> None:
+def rejection_law(agg: PointAggregate) -> list[VerifyCheck]:
+    """Mean attempts at one point within 10% of e^(3/4), the phi1 = 1 law."""
+    target = expected_attempts(1.0)
+    ratio = agg.mean_attempts / target
+    return [_check(
+        "rejection rate",
+        abs(ratio - 1.0) <= 0.10,
+        f"mean attempts {agg.mean_attempts:.4f} vs e^(3/4) = {target:.4f} "
+        f"(ratio {ratio:.3f}, tol 10%) over {agg.trials} trials at n = {agg.n}",
+    )]
+
+
+def window_point(seed: int, trials: int) -> list[VerifyCheck]:
+    """A {1,3,5,7} sweep at mu = 0: rejection law, non-planarity, limit laws."""
     cfg = ExperimentConfig(
         degrees=MC_DEGREES, n=MC_N, mus=(0.0,), trials=trials, seed=seed, jobs=1
     )
     rt = run_experiment(cfg)
     cp = critical_point(parse_degree_set(MC_DEGREES))
-    report = compare_theory(rt, cp)
-    pt = report.points[0]
-    agg = rt.aggregates[0]
-    target = expected_attempts(1.0)
-    ratio = agg.mean_attempts / target
-    rec.check(
-        "rejection rate",
-        abs(ratio - 1.0) <= 0.10,
-        f"mean attempts {agg.mean_attempts:.4f} vs e^(3/4) = {target:.4f} "
-        f"(ratio {ratio:.3f}, tol 10%) over {trials} trials at n = {MC_N}",
-    )
-    rec.check(
-        "non-planarity rate",
-        pt.nonplanar_ok,
-        f"P(non-planar | excess <= 4) obs {pt.nonplanar_obs:.4f} vs pred "
-        f"{pt.nonplanar_pred:.4f} "
-        f"(z = {pt.nonplanar_z:+.2f}, gate 3 sigma + 0.02)",
-    )
+    pt = compare_theory(rt, cp).points[0]
     bias = 0.7 * MC_N ** (-1.0 / 3.0)
-    rec.info(
-        "survival vs limit law",
-        f"obs {pt.survival_obs:.4f} vs n->inf prediction {pt.survival_pred:.4f} "
-        f"(gap {pt.survival_obs - pt.survival_pred:+.4f}; finite-size excess "
-        f"~0.7 n^(-1/3) = {bias:.4f} at n = {MC_N} — expected, shrinks with n)",
-    )
-    rec.info(
-        "excess histogram vs limit law",
-        f"chi2 p = {pt.excess_pvalue:.3g} (dominated by the same finite-size "
-        f"survival excess; informational at finite n)",
-    )
+    return rejection_law(rt.aggregates[0]) + [
+        _check(
+            "non-planarity rate",
+            pt.nonplanar_ok,
+            f"P(non-planar | excess <= 4) obs {pt.nonplanar_obs:.4f} vs pred "
+            f"{pt.nonplanar_pred:.4f} "
+            f"(z = {pt.nonplanar_z:+.2f}, gate 3 sigma + 0.02)",
+        ),
+        _info(
+            "survival vs limit law",
+            f"obs {pt.survival_obs:.4f} vs n->inf prediction {pt.survival_pred:.4f} "
+            f"(gap {pt.survival_obs - pt.survival_pred:+.4f}; finite-size excess "
+            f"~0.7 n^(-1/3) = {bias:.4f} at n = {MC_N} — expected, shrinks with n)",
+        ),
+        _info(
+            "excess histogram vs limit law",
+            f"chi2 p = {pt.excess_pvalue:.3g} (dominated by the same finite-size "
+            f"survival excess; informational at finite n)",
+        ),
+    ]
+
+
+def _sections(seed: int, trials: int, monte_carlo: bool):
+    yield thresholds()
+    yield closed_forms()
+    yield exact_constants()
+    yield classical_identities()
+    yield variant_agreement(DP_FAMILIES + (MC_DEGREES,))
+    yield variant_discrepancy()
+    rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(101,)))
+    yield saddle_profile(rng, cases=6)
+    yield dp_marginals()
+    if monte_carlo:
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(202,)))
+        yield pairing_uniformity(rng, accepted=max(2000, 10 * trials))
+        yield degree_position_uniformity(seed, draws=max(4000, 10 * trials))
+        yield window_point(seed, trials)
 
 
 def run_verify(
@@ -373,18 +415,13 @@ def run_verify(
     log: Callable[[str], None] = print,
 ) -> VerifyReport:
     """Run the suite; returns a report whose .ok reflects the gated checks."""
-    rec = _Recorder(log)
-    _thresholds(rec)
-    _exact_constants(rec)
-    _classical_identities(rec)
-    _variant_agreement(rec)
-    _petrov(rec, seed, cases=6)
-    _dp_marginals(rec)
-    if monte_carlo:
-        _pairing_uniformity(rec, seed, accepted_target=max(2000, 10 * trials))
-        _degree_position_uniformity(rec, seed, draws=max(4000, 10 * trials))
-        _monte_carlo(rec, seed, trials)
-    report = VerifyReport(tuple(rec.checks))
+    checks = []
+    for section in _sections(seed, trials, monte_carlo):
+        for c in section:
+            tag = ("ok  " if c.ok else "FAIL") if c.gated else "info"
+            log(f"{tag} {c.name}: {c.detail}")
+        checks.extend(section)
+    report = VerifyReport(tuple(checks))
     log(f"{'PASS' if report.ok else 'FAIL'}: "
         f"{sum(1 for c in report.checks if c.gated and c.ok)}/"
         f"{sum(1 for c in report.checks if c.gated)} gated checks passed")

@@ -15,13 +15,10 @@ from degwin.asymptotics import (
     bigA_classical,
     bigA_delta,
     bigB,
-    excess_distribution,
     expected_attempts,
     planar_c,
-    planarity_probability,
     predict,
     rejection_rate,
-    survival_probability,
     twopath_constants,
     wright_e,
 )
@@ -257,13 +254,6 @@ class TestPredictions:
             p = predict(_cp(spec), mu)
             assert p.survival == pytest.approx(survival, rel=1e-9)
             assert p.planarity == pytest.approx(planarity, rel=1e-9)
-
-    def test_convenience_wrappers(self):
-        cp = _cp("1,3")
-        p = predict(cp, 0.0)
-        assert survival_probability(cp, 0.0) == p.survival
-        assert planarity_probability(cp, 0.0) == p.planarity
-        assert excess_distribution(cp, 0.0) == p.excess_dist
 
     def test_qmax_domain(self):
         with pytest.raises(ValueError, match="q_max"):

@@ -22,7 +22,6 @@ from degwin.asymptotics import VARIANTS, predict, twopath_constants
 from degwin.cli import THRESHOLD_FIELDS, main
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
-from degwin.errors import StatisticalFailure
 from degwin.graph import from_jsonl_line, to_jsonl_line
 from degwin.harness import ExperimentConfig, parse_csv, render_csv, run_experiment
 from degwin.sampler import sample_simple_graph, trial_generator
@@ -245,16 +244,6 @@ class TestVerify:
             degwin.verify, "run_verify", lambda **kwargs: FakeReport()
         )
         assert main(["verify", "--skip-monte-carlo"]) == 3
-
-    def test_statistical_failure_exits_3(self, capsys, monkeypatch):
-        import degwin.verify
-
-        def boom(**kwargs):
-            raise StatisticalFailure("pairing uniformity rejected")
-
-        monkeypatch.setattr(degwin.verify, "run_verify", boom)
-        assert main(["verify"]) == 3
-        assert "statistical failure: pairing uniformity" in capsys.readouterr().err
 
 
 class TestConsoleScript:

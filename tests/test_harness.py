@@ -244,7 +244,10 @@ class TestRunExperiment:
             graphs, attempts = sample_batch(
                 ds, dp, [rng], max_attempts=DEFAULT_MAX_ATTEMPTS
             )
-            assert row.summary() == summarize(graphs[0], attempts=attempts[0])
+            assert row == TrialRow.from_summary(
+                row.trial, row.n, row.m, row.realized_mu,
+                summarize(graphs[0], attempts=attempts[0]),
+            )
 
     def test_sweep_points_get_independent_streams(self):
         cfg = ExperimentConfig(
@@ -264,8 +267,15 @@ class TestRunExperiment:
         graphs, attempts = sample_batch(
             ds, dp, [trial_generator(cfg.seed, 1, 2)], max_attempts=DEFAULT_MAX_ATTEMPTS
         )
-        assert row.summary() == summarize(graphs[0], attempts=attempts[0])
+        assert row == TrialRow.from_summary(
+            row.trial, row.n, row.m, row.realized_mu,
+            summarize(graphs[0], attempts=attempts[0]),
+        )
         table.validate()
+
+    PINNED = ExperimentConfig(
+        degrees="1,3,5,7", n=400, mus=(-1.0, 0.0, 2.5), trials=120, seed=20260825
+    )
 
     def test_seeded_csv_is_pinned(self):
         # Digest of the CSV this config produced before the sampling and
@@ -273,12 +283,18 @@ class TestRunExperiment:
         # pure-Python components, all-pairs BFS diameter).  Any rewrite of
         # those stages must reproduce it byte for byte.  The three points
         # give 129 complex and 120 non-planar graphs among the 360 rows.
-        cfg = ExperimentConfig(
-            degrees="1,3,5,7", n=400, mus=(-1.0, 0.0, 2.5), trials=120, seed=20260825
-        )
-        digest = hashlib.sha256(render_csv(run_experiment(cfg)).encode()).hexdigest()
-        assert digest == (
+        text = render_csv(run_experiment(self.PINNED))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
             "bbd21eed113f8ab73c0fe09c40e1d8890a18b9be8501feb9d9ed7d9d2e0b1c1f"
+        )
+
+    def test_seeded_json_is_pinned(self):
+        # Digest of the JSON document (rows and aggregates) for the same
+        # config, computed before the row schema was derived from TrialRow's
+        # fields.
+        text = render_json(run_experiment(self.PINNED))
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "aee8fe75c60a38b7c65e284110c5da420758c92dc7a47e3487fa51d31bef491e"
         )
 
     def test_parallel_run_is_bit_identical(self):
@@ -448,6 +464,10 @@ class TestEmitAndParse:
     def test_parse_rejects_wrong_header(self):
         with pytest.raises(ValueError, match="unexpected CSV header"):
             parse_csv("a,b,c\n1,2,3\n")
+
+    def test_header_only_text_has_no_rows(self):
+        # A one-line str is CSV text, not a path.
+        assert parse_csv(",".join(CSV_COLUMNS)) == ()
 
     def test_parse_rejects_short_row(self):
         text = ",".join(CSV_COLUMNS) + "\n1,2,3\n"

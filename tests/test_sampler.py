@@ -15,7 +15,7 @@ from degwin.degset import parse_degree_set
 from degwin.errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from degwin.sampler import (
     DEFAULT_MAX_ATTEMPTS,
-    _simple_edges_or_none,
+    _simple_pairs_or_none,
     build_dp,
     edges_for_mu,
     exact_sequence_probability,
@@ -30,6 +30,12 @@ from degwin.sampler import (
 from oracles import enumerate_matchings, enumerate_sequences, enumerate_simple_graphs
 
 FAMILIES = ("1,3", "1,2,3", "0,1,4,5")
+
+
+def simple_edges(seq, perm, n):
+    """The pairing's edges (u < v) as a list, or None on a loop or double edge."""
+    pairs = _simple_pairs_or_none(seq, perm, n)
+    return None if pairs is None else list(zip(pairs[0].tolist(), pairs[1].tolist()))
 
 # (degrees, n, m) triples that admit plenty of simple graphs.
 SAMPLE_CONFIGS = (
@@ -206,7 +212,7 @@ class TestPairing:
         seq = np.array([1, 1, 2, 2])
         hits = Counter()
         for perm in itertools.permutations(range(6)):
-            edges = _simple_edges_or_none(seq, np.array(perm), 4)
+            edges = simple_edges(seq, np.array(perm), 4)
             if edges is not None:
                 hits[frozenset(edges)] += 1
         want = {frozenset(g) for g in enumerate_simple_graphs((1, 1, 2, 2))}
@@ -285,7 +291,7 @@ def reference_attempts(ds, dp, rng, max_attempts):
     Returns (edges or None, attempts drawn)."""
     for attempt in range(1, max_attempts + 1):
         seq = sample_degree_sequence(dp, ds, rng)
-        edges = _simple_edges_or_none(seq, rng.permutation(dp.two_m), dp.n)
+        edges = simple_edges(seq, rng.permutation(dp.two_m), dp.n)
         if edges is not None:
             return edges, attempt
     return None, max_attempts

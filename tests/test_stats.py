@@ -194,15 +194,15 @@ class TestSummarize:
         g = Graph(4, [(1, 2), (2, 3)])
         s = summarize(g)
         assert s == GraphSummary(
-            largest_component_size=3,
+            attempts=0,
+            largest_component=3,
             largest_excess=-1,
             total_excess=0,
-            complex_part_size=0,
+            complex_size=0,
             complex_diameter=-1,
             complex_longest_path=-1,
             complex_circumference=-1,
             planar=True,
-            attempts=0,
         )
         s.validate()
 
@@ -210,7 +210,7 @@ class TestSummarize:
         g = Graph(4, [(1, 2), (2, 3), (1, 3), (3, 4)])
         s = summarize(g)
         assert s.largest_excess == 0
-        assert s.complex_part_size == 0
+        assert s.complex_size == 0
         assert s.planar
 
     def test_multiple_complex_components(self):
@@ -218,10 +218,10 @@ class TestSummarize:
         edges = list(theta.edges) + shift(complete_graph(4), theta.n, 4)
         g = Graph(theta.n + 4, edges)
         s = summarize(g, attempts=5)
-        assert s.largest_component_size == theta.n
+        assert s.largest_component == theta.n
         assert s.largest_excess == 2
         assert s.total_excess == 3
-        assert s.complex_part_size == theta.n + 4
+        assert s.complex_size == theta.n + 4
         assert s.complex_diameter == 3
         assert s.complex_longest_path == 7
         assert s.complex_circumference == 6
@@ -240,11 +240,11 @@ class TestSummarize:
 
     def test_validate_rejects_inconsistency(self):
         with pytest.raises(ValueError, match="empty-complex"):
-            GraphSummary(3, -1, 0, 0, 2, -1, -1, True, 0).validate()
+            GraphSummary(0, 3, -1, 0, 0, 2, -1, -1, True).validate()
         with pytest.raises(ValueError, match="complex summary"):
-            GraphSummary(5, 1, 1, 5, 3, 2, 4, True, 0).validate()
+            GraphSummary(0, 5, 1, 1, 5, 3, 2, 4, True).validate()
         with pytest.raises(ValueError, match="refused"):
-            GraphSummary(5, 1, 1, 5, 3, -1, 4, True, 0).validate()
+            GraphSummary(0, 5, 1, 1, 5, 3, -1, 4, True).validate()
 
     def test_matches_brute_force(self):
         rng = random.Random(20260825)
@@ -252,7 +252,7 @@ class TestSummarize:
             g = random_complex_graph(rng)
             s = summarize(g)
             verts = complex_vertices(g)
-            assert s.complex_part_size == len(verts)
+            assert s.complex_size == len(verts)
             assert s.complex_diameter == brute_diameter(g, verts)
             assert s.complex_longest_path == brute_longest_path(g, verts)
             assert s.complex_circumference == brute_circumference(g, verts)
@@ -266,7 +266,7 @@ class TestSummarize:
         s.validate()
         assert s.complex_longest_path >= s.complex_diameter
         assert 3 <= s.complex_circumference <= s.complex_longest_path + 1
-        assert s.complex_longest_path < s.complex_part_size
+        assert s.complex_longest_path < s.complex_size
         complex_edges = sum(
             1 for u, v in g.edges if u in complex_vertices(g)
         )
