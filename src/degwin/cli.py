@@ -21,6 +21,7 @@ from .errors import InfeasibleError, MaxAttemptsError
 from .graph import to_jsonl_line
 from .harness import (
     _CONFIG_CONVERTERS,
+    _comma_list,
     CHUNK_TRIALS,
     compare_theory,
     config_from_mapping,
@@ -40,10 +41,6 @@ from .sampler import (
 
 THRESHOLD_FIELDS = ("zhat", "alpha", "t3", "c2", "c3", "rho")
 PREDICT_Q_SHOWN = 6
-
-
-def _mu_list(text: str) -> list[float]:
-    return [float(x) for x in text.split(",") if x.strip()]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -69,7 +66,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     p.add_argument("--degrees", required=True)
-    p.add_argument("--mu", required=True, type=_mu_list,
+    p.add_argument("--mu", required=True, type=_comma_list(float),
                    help="comma list; use --mu=-2,0,2 for negative values")
     p.add_argument("--variant", default="scaled", choices=(*VARIANTS, "both"))
     p.add_argument("--qmax", default=20, type=int, help="truncation of the excess distribution")
@@ -92,9 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--degrees")
     p.add_argument("--n", type=int)
-    p.add_argument("--mu", type=_mu_list,
+    p.add_argument("--mu", type=_comma_list(float),
                    help="comma list of window locations (--mu=-2,0,2 form for negatives)")
-    p.add_argument("--m", type=lambda t: [int(x) for x in t.split(",") if x.strip()],
+    p.add_argument("--m", type=_comma_list(int),
                    help="comma list of edge counts (alternative to --mu)")
     p.add_argument("--trials", type=int)
     p.add_argument("--seed", type=int)
@@ -198,7 +195,7 @@ def _cmd_experiment(args) -> int:
             continue
         value = getattr(args, key)
         if value is not None:
-            mapping[key] = tuple(value) if isinstance(value, list) else value
+            mapping[key] = value
     cfg = config_from_mapping(mapping)
     rt = run_experiment(cfg)
     if cfg.out:

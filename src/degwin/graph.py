@@ -35,13 +35,13 @@ from scipy.sparse.csgraph import connected_components
 class Graph:
     """Immutable simple graph on vertices 1..n with an adjacency index.
 
-    ``edges`` is the sorted tuple of (u, v) pairs with u < v.  The edge
-    tuple, the adjacency lists and the endpoint arrays are each built on
-    first use from whichever form the graph was made from: most sampled
-    graphs only need their component sizes.
+    The canonical edges (u < v, sorted by (u, v)) are stored once, as the
+    int64 arrays ``u`` and ``v``.  The edge tuple ``edges`` and the
+    adjacency lists are built from them on first use: most sampled graphs
+    only need their component sizes.
     """
 
-    __slots__ = ("n", "_edges", "_adj", "_ends")
+    __slots__ = ("n", "u", "v", "_edges", "_adj")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 1:
@@ -57,10 +57,8 @@ class Graph:
         for a, b in zip(canon, canon[1:]):
             if a == b:
                 raise ValueError(f"duplicate edge {a}")
-        self.n = n
-        self._edges = tuple(canon)
-        self._adj = None
-        self._ends = None
+        ends = np.array(canon, dtype=np.int64).reshape(-1, 2)
+        self._init(n, ends[:, 0], ends[:, 1])
 
     @classmethod
     def from_simple_arrays(cls, n: int, u: np.ndarray, v: np.ndarray) -> "Graph":
@@ -70,19 +68,18 @@ class Graph:
         pair; only the canonical edge order is established here.
         """
         order = np.lexsort((v, u))
-        u, v = u[order], v[order]
         g = cls.__new__(cls)
-        g.n = n
-        g._edges = None
-        g._adj = None
-        g._ends = (u, v)
+        g._init(n, u[order], v[order])
         return g
+
+    def _init(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
+        self.n, self.u, self.v = n, u, v
+        self._edges = self._adj = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self._edges is None:
-            u, v = self._ends
-            self._edges = tuple(zip(u.tolist(), v.tolist()))
+            self._edges = tuple(zip(self.u.tolist(), self.v.tolist()))
         return self._edges
 
     @property
@@ -96,16 +93,9 @@ class Graph:
             self._adj = tuple(tuple(a) for a in adj)
         return self._adj
 
-    def endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        """The canonical edges as two int64 arrays (u < v)."""
-        if self._ends is None:
-            ends = np.array(self.edges, dtype=np.int64).reshape(-1, 2)
-            self._ends = (ends[:, 0], ends[:, 1])
-        return self._ends
-
     @property
     def m(self) -> int:
-        return len(self._edges) if self._ends is None else self._ends[0].size
+        return self.u.size
 
     def degree(self, v: int) -> int:
         return len(self.adj[v])
@@ -148,7 +138,7 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``labels[v]`` for v in 1..n (entry 0 is unused); labels number the
     components in order of their smallest vertex.
     """
-    u, v = g.endpoints()
+    u, v = g.u, g.v
     a = csr_matrix(
         (np.ones(u.size, dtype=np.int8), (u - 1, v - 1)), shape=(g.n, g.n)
     )
@@ -188,15 +178,12 @@ class PeelResult:
     order: tuple[int, ...]
 
 
-def two_core(
-    g: Graph, lowest_first: bool = True, vertices: Iterable[int] | None = None
-) -> PeelResult:
+def two_core(g: Graph, vertices: Iterable[int] | None = None) -> PeelResult:
     """Peel vertices of degree <= 1 until only the 2-core remains.
 
-    Peeling is confluent: the queue discipline (``lowest_first`` toggles it)
-    never changes the resulting core vertex set.  ``vertices`` restricts the
-    peel to a union of components (default: the whole graph); the
-    lowest-first peel removes the vertices in it in the same order, with the
+    The peel is first in, first out, seeded lowest vertex first.
+    ``vertices`` restricts it to a union of components (default: the whole
+    graph); it then removes the vertices in it in the same order, with the
     same parents, as the whole-graph peel does.
     """
     adj = g.adj
@@ -207,7 +194,7 @@ def two_core(
     parent: dict[int, int | None] = {}
     order = []
     while queue:
-        v = queue.popleft() if lowest_first else queue.pop()
+        v = queue.popleft()
         if removed[v] or deg[v] > 1:
             continue
         removed[v] = 1
@@ -276,14 +263,13 @@ class KernelEdge:
     """A contracted degree-2 chain of the 2-core.
 
     ``length`` counts original edges; ``interior`` holds the chain's internal
-    vertices in order from u to v when the kernel was built in detail mode,
-    else None.  u == v marks a loop.
+    vertices in order from u to v.  u == v marks a loop.
     """
 
     u: int
     v: int
     length: int
-    interior: tuple[int, ...] | None = None
+    interior: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -317,17 +303,13 @@ class KernelMultigraph:
 
 
 def kernel(
-    g: Graph,
-    comp: Component,
-    peel: PeelResult,
-    sprouts: SproutData | None = None,
-    detail: bool = False,
+    g: Graph, comp: Component, peel: PeelResult, sprouts: SproutData
 ) -> KernelMultigraph:
     """Contract the degree-2 chains of a complex component's 2-core.
 
-    Requires comp.excess >= 1 (only complex components have corners).  With
-    ``detail`` the chain interiors are retained, which the exact longest-path
-    statistic needs; without it only lengths are kept.
+    Requires comp.excess >= 1 (only complex components have corners).  The
+    chain interiors and the sprouting-tree data of the component's 2-core
+    vertices are kept for the exact path statistics.
     """
     if comp.excess < 1:
         raise ValueError(
@@ -364,37 +346,21 @@ def kernel(
                 nxt = next(w for w in core_adj[cur] if w != prev)
                 mark(cur, nxt)
                 prev, cur = cur, nxt
-            u, v = c, cur
-            inner: tuple[int, ...] | None
-            if detail:
-                inner = tuple(interior)
-                if u > v:
-                    u, v = v, u
-                    inner = tuple(reversed(inner))
-            else:
-                inner = None
-                if u > v:
-                    u, v = v, u
+            u, v, inner = c, cur, tuple(interior)
+            if u > v:
+                u, v, inner = v, u, inner[::-1]
             edges.append(KernelEdge(u=u, v=v, length=len(interior) + 1, interior=inner))
-    edges.sort(key=lambda e: (e.u, e.v, e.length, e.interior or ()))
-    th: dict[int, int] = {}
-    th2: dict[int, int] = {}
-    tdb: dict[int, int] = {}
-    if sprouts is not None:
-        comp_core = core_set
-        th = {v: h for v, h in sprouts.height1.items() if v in comp_core}
-        th2 = {v: h for v, h in sprouts.height2.items() if v in comp_core}
-        tdb = {
-            r: d
-            for r, d in sprouts.tree_diameter.items()
-            if peel.parent.get(r) in comp_core
-        }
+    edges.sort(key=lambda e: (e.u, e.v, e.length, e.interior))
     return KernelMultigraph(
         vertices=tuple(corners),
         edges=tuple(edges),
-        tree_height=th,
-        tree_height2=th2,
-        tree_diameter_bonus=tdb,
+        tree_height={v: h for v, h in sprouts.height1.items() if v in core_set},
+        tree_height2={v: h for v, h in sprouts.height2.items() if v in core_set},
+        tree_diameter_bonus={
+            r: d
+            for r, d in sprouts.tree_diameter.items()
+            if peel.parent.get(r) in core_set
+        },
     )
 
 

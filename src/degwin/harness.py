@@ -89,11 +89,17 @@ class ExperimentConfig:
             object.__setattr__(self, "mus", (0.0,))
 
 
+def _comma_list(convert):
+    """Parser of a comma list into a tuple of ``convert``-ed items, skipping
+    empty items; the config file and the CLI flags share it."""
+    return lambda text: tuple(convert(x) for x in text.split(",") if x.strip())
+
+
 _CONFIG_CONVERTERS = {
     "degrees": str,
     "n": int,
-    "mu": lambda v: tuple(float(x) for x in v.split(",") if x.strip()),
-    "m": lambda v: tuple(int(x) for x in v.split(",") if x.strip()),
+    "mu": _comma_list(float),
+    "m": _comma_list(int),
     "trials": int,
     "seed": int,
     "jobs": int,
@@ -180,6 +186,13 @@ class TrialRow(GraphSummary, _RowKey):
         cls, trial: int, n: int, m: int, realized_mu: float, s: GraphSummary
     ) -> "TrialRow":
         return cls(trial, n, m, realized_mu, **vars(s))
+
+    def validate(self) -> None:
+        if not (
+            1 <= self.largest_component <= self.n and 0 <= self.complex_size <= self.n
+        ):
+            raise ValueError(f"component sizes inconsistent with n = {self.n}: {self}")
+        super().validate()
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))

@@ -80,12 +80,11 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
         )
     logw = np.full((n + 1, two_m + 1), NEG_INF)
     logw[0, 0] = 0.0
-    degs = [d for d in ds.degrees if d <= two_m]
-    logfact = [float(gammaln(d + 1)) for d in degs]
+    degs, logfact = _degree_arrays(ds, two_m)
     for i in range(1, n + 1):
         prev = logw[i - 1]
         row = np.full(two_m + 1, NEG_INF)
-        for d, lf in zip(degs, logfact):
+        for d, lf in zip(degs.tolist(), logfact.tolist()):
             if d == 0:
                 np.logaddexp(row, prev - lf, out=row)
             else:

@@ -17,6 +17,7 @@ All lengths are counted in edges.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -112,8 +113,7 @@ def diameter(g: Graph, vertices: Iterable[int]) -> int:
         return -1
     index = np.full(g.n + 1, -1, dtype=np.int64)
     index[verts] = np.arange(verts.size)
-    u, v = g.endpoints()
-    iu, iv = index[u], index[v]
+    iu, iv = index[g.u], index[g.v]
     keep = (iu >= 0) & (iv >= 0)
     iu, iv = iu[keep], iv[keep]
     a = csr_matrix(
@@ -176,16 +176,42 @@ def _edge_tables(k: KernelMultigraph):
     h1 = k.tree_height
     tables = []
     for e in k.edges:
-        if e.interior is None:
-            raise ValueError(
-                "longest_path/circumference need a kernel built in detail mode"
-            )
         verts = (e.u,) + e.interior + (e.v,)
         if len(verts) != e.length + 1:
             raise ValueError(f"kernel edge interior inconsistent with length: {e}")
         t = [h1.get(x, 0) for x in verts]
         tables.append((e, verts, t))
     return tables
+
+
+def _kernel_index(k: KernelMultigraph):
+    """The index both exhaustive kernel searches walk.
+
+    Returns the sorted corners, their index, the non-loop chains at each
+    corner index as (edge index, other corner index, length), longest first,
+    and the prefix sums of the non-loop chain lengths sorted longest first.
+    Refuses kernels beyond the exhaustive-search guard.
+    """
+    q = k.excess
+    if q > MAX_KERNEL_EXCESS:
+        raise ValueError(
+            f"kernel excess {q} exceeds exhaustive-search guard "
+            f"{MAX_KERNEL_EXCESS}"
+        )
+    corners = sorted(k.vertices)
+    cidx = {c: i for i, c in enumerate(corners)}
+    adj: list[list[tuple[int, int, int]]] = [[] for _ in corners]
+    lengths = []
+    for i, e in enumerate(k.edges):
+        if e.u != e.v:
+            ui, vi = cidx[e.u], cidx[e.v]
+            adj[ui].append((i, vi, e.length))
+            adj[vi].append((i, ui, e.length))
+            lengths.append(e.length)
+    for lst in adj:
+        lst.sort(key=lambda item: -item[2])
+    prefix = list(accumulate(sorted(lengths, reverse=True), initial=0))
+    return corners, cidx, adj, prefix
 
 
 def _partial_entry(t: Sequence[int], length: int, from_u: bool) -> int | None:
@@ -218,12 +244,7 @@ def _double_entry(t: Sequence[int], length: int) -> int | None:
 
 def longest_path(k: KernelMultigraph) -> int:
     """Exact longest simple path (in edges) of one complex component."""
-    q = k.excess
-    if q > MAX_KERNEL_EXCESS:
-        raise ValueError(
-            f"kernel excess {q} exceeds exhaustive-search guard "
-            f"{MAX_KERNEL_EXCESS}"
-        )
+    corners, cidx, adj, prefix = _kernel_index(k)
     tables = _edge_tables(k)
     h1 = k.tree_height
     h2 = k.tree_height2
@@ -267,12 +288,11 @@ def longest_path(k: KernelMultigraph) -> int:
     # plus end extensions.  Exhaustive over kernel simple paths, with two
     # exact prunings: each path is closed only from its smaller-index end,
     # and a branch is cut when even the sum of the longest conceivable
-    # remaining chains plus the largest possible end bonuses cannot beat the
-    # current best.
-    corners = sorted(k.vertices)
-    cidx = {c: i for i, c in enumerate(corners)}
+    # remaining non-loop chains plus the largest possible end bonuses cannot
+    # beat the current best (a path between distinct corners never
+    # traverses a loop; loop entries are end bonuses).
     vcount = len(corners)
-    n_edges = len(k.edges)
+    n_nonloop = len(prefix) - 1
     pe = [
         (
             _partial_entry(t, e.length, True),
@@ -281,29 +301,16 @@ def longest_path(k: KernelMultigraph) -> int:
         for e, verts, t in tables
     ]
     dd = [_double_entry(t, e.length) for e, verts, t in tables]
-    lengths = [e.length for e in k.edges]
-    by_len = sorted(lengths, reverse=True)
-    prefix = [0] * (n_edges + 1)
-    for r in range(n_edges):
-        prefix[r + 1] = prefix[r] + by_len[r]
     incident_halves: list[list[tuple[int, int]]] = [[] for _ in range(vcount)]
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vcount)]
     chords: dict[tuple[int, int], list[int]] = {}
     is_loop_edge = [e.u == e.v for e in k.edges]
     for i, e in enumerate(k.edges):
         ui, vi = cidx[e.u], cidx[e.v]
-        if ui == vi:
-            incident_halves[ui].append((i, 0))
-            incident_halves[ui].append((i, 1))
-        else:
-            incident_halves[ui].append((i, 0))
-            incident_halves[vi].append((i, 1))
-            adj[ui].append((i, vi, e.length))
-            adj[vi].append((i, ui, e.length))
+        incident_halves[ui].append((i, 0))
+        incident_halves[vi].append((i, 1))
+        if ui != vi:
             a, b = (ui, vi) if ui < vi else (vi, ui)
             chords.setdefault((a, b), []).append(i)
-    for lst in adj:
-        lst.sort(key=lambda item: -item[2])
 
     def end_options(ci: int, used: int) -> list[tuple[int, object]]:
         c = corners[ci]
@@ -358,7 +365,7 @@ def longest_path(k: KernelMultigraph) -> int:
         if cur >= c0 and L + cap_pair > best:
             close_candidates(c0, cur, used, L)
         rem = vcount - cnt - 1
-        allow = prefix[rem if rem < n_edges else n_edges] + cap_pair
+        allow = prefix[rem if rem < n_nonloop else n_nonloop] + cap_pair
         for i, w, Li in adj[cur]:
             if used >> i & 1 or vis >> w & 1:
                 continue
@@ -374,33 +381,10 @@ def longest_path(k: KernelMultigraph) -> int:
 
 def circumference(k: KernelMultigraph) -> int:
     """Exact longest simple cycle (in edges) of one complex component."""
-    q = k.excess
-    if q > MAX_KERNEL_EXCESS:
-        raise ValueError(
-            f"kernel excess {q} exceeds exhaustive-search guard "
-            f"{MAX_KERNEL_EXCESS}"
-        )
-    best = 0
-    corners = sorted(k.vertices)
-    cidx = {c: i for i, c in enumerate(corners)}
+    corners, _, adj, prefix = _kernel_index(k)
+    best = max((e.length for e in k.edges if e.u == e.v), default=0)
     vcount = len(corners)
-    adj: list[list[tuple[int, int, int]]] = [[] for _ in range(vcount)]
-    nonloop_lengths = []
-    for i, e in enumerate(k.edges):
-        if e.u == e.v:
-            best = max(best, e.length)
-        else:
-            ui, vi = cidx[e.u], cidx[e.v]
-            adj[ui].append((i, vi, e.length))
-            adj[vi].append((i, ui, e.length))
-            nonloop_lengths.append(e.length)
-    for lst in adj:
-        lst.sort(key=lambda item: -item[2])
-    n_nonloop = len(nonloop_lengths)
-    by_len = sorted(nonloop_lengths, reverse=True)
-    prefix = [0] * (n_nonloop + 1)
-    for r in range(n_nonloop):
-        prefix[r + 1] = prefix[r] + by_len[r]
+    n_nonloop = len(prefix) - 1
 
     # Each cycle is enumerated from its smallest corner only; a branch is cut
     # when even the longest conceivable remaining chains cannot beat best.
@@ -500,7 +484,7 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
     lengths_exact = True
     for comp in complex_comps:
         total_excess += comp.excess
-        kern = kernel(g, comp, peel, sprouts, detail=True)
+        kern = kernel(g, comp, peel, sprouts)
         if kern.excess > MAX_KERNEL_EXCESS:
             # Exhaustive path search is refused far above the window; the
             # lengths are reported as the not-computed sentinel -1 (planarity

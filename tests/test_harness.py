@@ -490,6 +490,15 @@ class TestEmitAndParse:
         with pytest.raises(ValueError, match="complex"):
             parse_csv(corrupted)
 
+    def test_parse_rejects_sizes_beyond_n(self):
+        # Self-consistent statistics, but 900- and 800-vertex parts of a
+        # 12-vertex graph.
+        text = ",".join(CSV_COLUMNS) + "\n0,12,15,0.5,1,900,2,3,800,3,7,6,1\n"
+        with pytest.raises(ValueError, match="component sizes"):
+            parse_csv(text)
+        with pytest.raises(ValueError, match="component sizes"):
+            make_empty_row(largest_component=0).validate()
+
 
 def synthetic_aggregate(**overrides) -> PointAggregate:
     kwargs = dict(

@@ -55,11 +55,11 @@ def complete_bipartite_33() -> Graph:
     return Graph(6, [(u, v) for u in (1, 2, 3) for v in (4, 5, 6)])
 
 
-def kernels_of(g: Graph, detail: bool = True):
+def kernels_of(g: Graph):
     peel = two_core(g)
     sprouts = sprout_data(g, peel)
     return [
-        kernel(g, comp, peel, sprouts, detail=detail)
+        kernel(g, comp, peel, sprouts)
         for comp in components(g)
         if comp.is_complex
     ]
@@ -145,11 +145,6 @@ class TestKernelLengths:
         assert longest_path(k) == lp
         assert circumference(k) == circ
         assert is_planar(k) == planar
-
-    def test_requires_detail_mode(self):
-        (k,) = kernels_of(theta_graph(), detail=False)
-        with pytest.raises(ValueError, match="detail mode"):
-            longest_path(k)
 
     def test_excess_guard(self):
         (k,) = kernels_of(complete_graph(10))
