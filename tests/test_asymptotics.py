@@ -11,6 +11,9 @@ from hypothesis import given, settings, strategies as st
 from degwin.asymptotics import (
     MU_SERIES_LIMIT,
     VARIANTS,
+    _window_column,
+    _window_sums,
+    _window_x,
     bigA_asymptotic,
     bigA_classical,
     bigA_delta,
@@ -61,11 +64,17 @@ class TestKernelWeights:
         assert wright_e(3) == Fraction(85085, 82944)
 
     def test_domain(self):
-        assert wright_e(30) > 0
-        with pytest.raises(ValueError, match="0 <= q <= 30"):
+        # e_q = (6q-1)!! / ((2q)! 6^{2q}): the weighted count of cubic
+        # configuration pairings on 2q vertices.
+        double_factorial = 1
+        for q in range(201):
+            if q:
+                for odd in range(6 * q - 5, 6 * q, 2):
+                    double_factorial *= odd
+            want = Fraction(double_factorial, math.factorial(2 * q) * 6 ** (2 * q))
+            assert wright_e(q) == want
+        with pytest.raises(ValueError, match="q >= 0"):
             wright_e(-1)
-        with pytest.raises(ValueError, match="0 <= q <= 30"):
-            wright_e(31)
 
     def test_planar_matches_connected_through_excess_two(self):
         for q in range(3):
@@ -85,8 +94,10 @@ class TestKernelWeights:
 class TestWindowSeries:
     @pytest.mark.parametrize("spec", FAMILIES[:3])
     def test_matches_direct_summation(self, spec):
+        # At integer y every third Gamma argument is a non-positive integer
+        # from some term on, and those terms vanish.
         cp = _cp(spec)
-        for y in (0.5, 2.5, 3.5, 6.5):
+        for y in (0.5, 2.0, 2.5, 3.5, 5.0, 6.5, 8.0):
             for mu in (-3.0, -1.0, 0.0, 1.0, 3.0):
                 want = float(oracle_window_series(cp.c2, cp.c3, y, mu))
                 assert bigB(cp, y, mu) == pytest.approx(want, rel=1e-12)
@@ -125,6 +136,62 @@ class TestWindowSeries:
         want = float(oracle_window_series(0.5, 1.0 / 3.0, y, mu))
         assert got > 0
         assert got == pytest.approx(want, rel=1e-10)
+
+
+class TestWindowRecurrence:
+    """The table of sums S(y) behind ``predict`` and ``twopath_constants``,
+    filled in by (y+1) S(y+3) = 3 S(y) + 2x S(y+1), against direct series."""
+
+    @pytest.mark.parametrize("spec", ["1,3", "pow2:64", "1,3,5,7"])
+    def test_column_matches_direct_series(self, spec):
+        # mu < 0 runs the recurrence downward, mu >= 0 upward.
+        cp = _cp(spec)
+        q_max = 30
+        for mu in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
+            for variant in VARIANTS:
+                with mp.workdps(40):
+                    column = [float(a) for a in _window_column(cp, mu, variant, q_max)]
+                for q, got in enumerate(column):
+                    want = bigA_delta(cp, 3 * q + 0.5, mu, variant)
+                    assert got == pytest.approx(want, rel=1e-13), (mu, variant, q)
+
+    @pytest.mark.parametrize("mu", [-2.0, 2.0])
+    def test_far_end_matches_high_precision_series(self, mu):
+        cp = _cp("1,3,5,7")
+        with mp.workdps(40):
+            x = _window_x(cp.c2, cp.c3, mu)
+            sums = _window_sums(x, mp.mpf(1) / 2, 3 * 120 + 1)
+        for q in (40, 80, 120):
+            y = mp.mpf(3 * q) + mp.mpf(1) / 2
+            with mp.workdps(190):
+                want = mp.mpf(0)
+                peak = mp.mpf(0)
+                for k in range(4000):
+                    term = x**k / mp.factorial(k) * mp.rgamma((y + 1 - 2 * k) / 3)
+                    want += term
+                    peak = max(peak, abs(term))
+                    if k > y and abs(term) < peak * mp.mpf(10) ** -180:
+                        break
+                else:
+                    raise AssertionError("direct series did not settle")
+                assert float(sums[3 * q]) == pytest.approx(float(want), rel=1e-13), q
+
+    def test_recurrence_on_oracle_values(self):
+        cp = _cp("1,3")
+        for mu in (-3.0, -1.0, 0.0, 1.0, 3.0):
+            for y in (0.5, 2.0, 3.5, 7.0):
+                with mp.workdps(60):
+                    x = _window_x(cp.c2, cp.c3, mu)
+                    c3 = mp.mpf(cp.c3)
+
+                    def S(z):
+                        oracle = oracle_window_series(cp.c2, cp.c3, z, mu)
+                        return 3 * oracle / c3 ** ((mp.mpf(z) - 2) / 3)
+
+                    lhs = (y + 1) * S(y + 3)
+                    parts = (3 * S(y), 2 * x * S(y + 1))
+                    scale = max(abs(lhs), *(abs(p) for p in parts))
+                    assert abs(lhs - sum(parts)) <= mp.mpf(10) ** -40 * scale, (y, mu)
 
 
 class TestClassicalWindow:
