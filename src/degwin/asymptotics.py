@@ -201,11 +201,11 @@ def _window_x(c2, c3, mu) -> mp.mpf:
 
 
 def _bigB_mp(c2, c3, y, mu, count: int = 1) -> list[mp.mpf]:
-    """bigB(y + i, mu) for i < count, at 40 digits."""
-    c3 = mp.mpf(c3)
-    y = mp.mpf(y)
-    sums = _window_sums(_window_x(c2, c3, mu), y, count)
+    """bigB(y + i, mu) for i < count, at 40 digits, x formed at 40 digits too."""
     with mp.workdps(_BASE_DPS):
+        c3 = mp.mpf(c3)
+        y = mp.mpf(y)
+        sums = _window_sums(_window_x(c2, c3, mu), y, count)
         return [c3 ** ((y + i - 2) / 3) / 3 * s for i, s in enumerate(sums)]
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .asymptotics import VARIANTS, predict, twopath_constants
@@ -88,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("experiment", help="Monte Carlo sweep; rows as CSV/JSON")
     p.add_argument("--config", help="flat key=value config file; flags override")
     p.add_argument("--degrees")
-    p.add_argument("--n", type=int)
+    p.add_argument("--n", type=_comma_list(int), help="comma list of sizes")
     p.add_argument("--mu", type=_comma_list(float),
                    help="comma list of window locations (--mu=-2,0,2 form for negatives)")
     p.add_argument("--m", type=_comma_list(int),
@@ -208,7 +209,7 @@ def _cmd_experiment(args) -> int:
         report = compare_theory(rt, cp, q_max=args.qmax)
         for pt in report.points:
             print(
-                f"mu={pt.realized_mu:+.4f} m={pt.m}: "
+                f"n={pt.n} mu={pt.realized_mu:+.4f} m={pt.m}: "
                 f"survival {pt.survival_obs:.4f} vs {pt.survival_pred:.4f} "
                 f"(z={pt.survival_z:+.2f}), excess chi2 p={pt.excess_pvalue:.3g}, "
                 f"nonplanar|q<=4 {pt.nonplanar_obs:.4f} vs {pt.nonplanar_pred:.4f} "
@@ -216,9 +217,11 @@ def _cmd_experiment(args) -> int:
                 file=sys.stderr,
             )
         for sc in report.scalings:
+            exponent = math.log(sc.ratio) / math.log(sc.n_large / sc.n_small)
             print(
                 f"diameter scaling n={sc.n_small}->{sc.n_large}: ratio "
-                f"{sc.ratio:.3f} (n^(1/3) predicts {sc.expected_ratio:.3f})",
+                f"{sc.ratio:.3f} (n^(1/3) predicts {sc.expected_ratio:.3f}), "
+                f"exponent {exponent:.3f} (1/3 predicted)",
                 file=sys.stderr,
             )
     return 0

@@ -1,10 +1,13 @@
 """Seeded Monte Carlo experiments over the critical window.
 
-The driver resolves each requested window location mu to an admissible edge
-count, samples ``trials`` graphs per point with per-trial generator streams,
-summarises each graph, and aggregates per point.  Trial t of point k always
-draws from ``trial_generator(seed, t, k)``, so the emitted rows are
-bit-identical across chunkings and process counts.
+The driver resolves each requested size n and window location mu to an
+admissible edge count, samples ``trials`` graphs per point with per-trial
+generator streams, summarises each graph, and aggregates per point.  Sizes
+are the outer loop and the mu (or m) list the inner one.  Trial t of the
+k-th mu (or m) draws from ``trial_generator(seed, t, k)``, with k the index
+in that list and the same at every n, so the emitted rows are bit-identical
+across chunkings and process counts, and a run over several n equals the
+single-n runs concatenated.
 
 One row per trial: the fields of ``TrialRow``, in declaration order, are
 the CSV columns and the JSON row cells (``planar`` encoded 1/0).
@@ -52,15 +55,17 @@ def _round9(x: float) -> float:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment: a degree family at one n, swept over window locations.
+    """One experiment: a degree family at one or more n, each swept over
+    the same window locations.
 
-    Exactly one of ``mus`` (window locations, converted via edges_for_mu) and
-    ``ms`` (explicit edge counts) may be non-empty; both empty means the
-    single point mu = 0.
+    ``n`` is a tuple of sizes; a single int is taken as a 1-tuple.  Exactly
+    one of ``mus`` (window locations, converted via edges_for_mu) and ``ms``
+    (explicit edge counts) may be non-empty; both empty means the single
+    point mu = 0.
     """
 
     degrees: str
-    n: int = 1000
+    n: tuple[int, ...] = (1000,)
     mus: tuple[float, ...] = ()
     ms: tuple[int, ...] = ()
     trials: int = 1000
@@ -73,8 +78,11 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.degrees:
             raise ValueError("degrees specification must be non-empty")
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
+        object.__setattr__(
+            self, "n", (self.n,) if isinstance(self.n, int) else tuple(self.n)
+        )
+        if not self.n or min(self.n) < 1 or len(set(self.n)) < len(self.n):
+            raise ValueError(f"n must be one or more distinct sizes >= 1, got {self.n}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
@@ -97,7 +105,7 @@ def _comma_list(convert):
 
 _CONFIG_CONVERTERS = {
     "degrees": str,
-    "n": int,
+    "n": _comma_list(int),
     "mu": _comma_list(float),
     "m": _comma_list(int),
     "trials": int,
@@ -140,9 +148,13 @@ def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
 
 @dataclass(frozen=True)
 class ExperimentPoint:
-    """A resolved sweep point: admissible m plus the mu it realises."""
+    """A resolved sweep point: size n, admissible m and the mu it realises.
+
+    ``index`` is the position of the point's mu (or m) in the config list.
+    """
 
     index: int
+    n: int
     nominal_mu: float | None
     m: int
     realized_mu: float
@@ -150,16 +162,17 @@ class ExperimentPoint:
 
 def resolve_points(cfg: ExperimentConfig, ds: DegreeSet) -> tuple[ExperimentPoint, ...]:
     cp = critical_point(ds)
-    scale = float(cfg.n) ** (1.0 / 3.0)
     points = []
-    if cfg.ms:
-        for i, m in enumerate(cfg.ms):
-            mu = (m / (cp.alpha * cfg.n) - 1.0) * scale
-            points.append(ExperimentPoint(i, None, m, _round9(mu)))
-    else:
-        for i, mu in enumerate(cfg.mus):
-            m, realized = edges_for_mu(ds, cfg.n, mu)
-            points.append(ExperimentPoint(i, mu, m, _round9(realized)))
+    for n in cfg.n:
+        scale = float(n) ** (1.0 / 3.0)
+        if cfg.ms:
+            for i, m in enumerate(cfg.ms):
+                mu = (m / (cp.alpha * n) - 1.0) * scale
+                points.append(ExperimentPoint(i, n, None, m, _round9(mu)))
+        else:
+            for i, mu in enumerate(cfg.mus):
+                m, realized = edges_for_mu(ds, n, mu)
+                points.append(ExperimentPoint(i, n, mu, m, _round9(realized)))
     return tuple(points)
 
 
@@ -344,7 +357,7 @@ def _worker_chunk(args) -> list[GraphSummary]:
 def _run_point(
     cfg: ExperimentConfig, ds: DegreeSet, point: ExperimentPoint
 ) -> list[GraphSummary]:
-    dp = build_dp(ds, cfg.n, 2 * point.m)
+    dp = build_dp(ds, point.n, 2 * point.m)
     chunk_args = [
         (cfg.seed, point.index, lo, min(lo + CHUNK_TRIALS, cfg.trials), cfg.max_attempts)
         for lo in range(0, cfg.trials, CHUNK_TRIALS)
@@ -374,7 +387,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
         try:
             summaries = _run_point(cfg, ds, point)
         except (InfeasibleError, MaxAttemptsError) as exc:
-            err = type(exc)(f"point {point.index} (m={point.m}): {exc}")
+            err = type(exc)(f"point {point.index} (n={point.n}, m={point.m}): {exc}")
             err.partial_table = ResultTable(
                 degrees=cfg.degrees,
                 seed=cfg.seed,
@@ -384,7 +397,7 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
             )
             raise err from exc
         rows.extend(
-            TrialRow.from_summary(t, cfg.n, point.m, point.realized_mu, s)
+            TrialRow.from_summary(t, point.n, point.m, point.realized_mu, s)
             for t, s in enumerate(summaries)
         )
     return ResultTable(

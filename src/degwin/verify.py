@@ -52,7 +52,13 @@ from .asymptotics import (
 from .critical import critical_point, petrov_profile, root1
 from .degset import parse_degree_set
 from .errors import InfeasibleError
-from .harness import ExperimentConfig, PointAggregate, compare_theory, run_experiment
+from .harness import (
+    CHI2_MIN_P,
+    ExperimentConfig,
+    PointAggregate,
+    compare_theory,
+    run_experiment,
+)
 from .sampler import (
     _exact_weight_sum,
     _simple_pairs_or_none,
@@ -80,7 +86,6 @@ CLOSED_FORM_13 = {
 DP_FAMILIES = ("1,3", "1,2,3", "0,1,4,5")
 MC_DEGREES = "1,3,5,7"
 MC_N = 600
-CHI2_MIN_P = 1e-3
 
 
 @dataclass(frozen=True)

@@ -102,6 +102,15 @@ class TestWindowSeries:
                 want = float(oracle_window_series(cp.c2, cp.c3, y, mu))
                 assert bigB(cp, y, mu) == pytest.approx(want, rel=1e-12)
 
+    @pytest.mark.parametrize("spec", ["1,3,5,7", "pow2:64"])
+    def test_series_argument_at_full_precision(self, spec):
+        # x = c2 c3^{-2/3} mu rounded to 53 bits moves the sum by ~1e-14 at
+        # mu = -4; formed at the working precision it agrees to rounding.
+        cp = _cp(spec)
+        for y in (0.5, 3.5):
+            want = float(oracle_window_series(cp.c2, cp.c3, y, -4.0))
+            assert bigB(cp, y, -4.0) == pytest.approx(want, rel=1e-15, abs=0)
+
     def test_extreme_mu_anchors(self):
         cp = _cp("1,3")
         for (y, mu), want in WINDOW_ANCHORS_13.items():

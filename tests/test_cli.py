@@ -23,7 +23,13 @@ from degwin.cli import THRESHOLD_FIELDS, main
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
 from degwin.graph import from_jsonl_line, to_jsonl_line
-from degwin.harness import ExperimentConfig, parse_csv, render_csv, run_experiment
+from degwin.harness import (
+    ExperimentConfig,
+    compare_theory,
+    parse_csv,
+    render_csv,
+    run_experiment,
+)
 from degwin.sampler import sample_simple_graph, trial_generator
 
 
@@ -202,6 +208,34 @@ class TestExperiment:
         assert len(rows) == 4
         assert len({r.m for r in rows}) == 2
 
+    def test_size_list_gives_rows_at_every_size(self, capsys):
+        args = [
+            "experiment", "--degrees", "1,3", "--n", "8,12", "--mu=0",
+            "--trials", "3", "--seed", "2", "--no-compare",
+        ]
+        assert main(args) == 0
+        out = capsys.readouterr().out
+        assert {r.n for r in parse_csv(out)} == {8, 12}
+        assert out == render_csv(
+            self.expected_table(n=(8, 12), ms=(), mus=(0.0,), trials=3, seed=2)
+        )
+
+    def test_size_list_report_names_n_and_the_growth_exponent(self, capsys):
+        args = [
+            "experiment", "--degrees", "1,3", "--n", "30,60", "--mu=0.5",
+            "--trials", "40", "--seed", "2",
+        ]
+        table = self.expected_table(n=(30, 60), ms=(), mus=(0.5,), trials=40, seed=2)
+        with pytest.warns(UserWarning, match="lacks power"):
+            assert main(args) == 0
+            report = compare_theory(table, critical_point(parse_degree_set("1,3")))
+        err = capsys.readouterr().err
+        (scaling,) = report.scalings
+        exponent = math.log(scaling.ratio) / math.log(2.0)
+        assert "n=30 mu=" in err and "n=60 mu=" in err
+        assert f"n=30->60: ratio {scaling.ratio:.3f}" in err
+        assert f"exponent {exponent:.3f}" in err
+
     def test_comparison_report_on_stderr(self, capsys):
         args = [
             "experiment", "--degrees", "1,3", "--n", "8", "--m", "5",
@@ -220,7 +254,7 @@ class TestExperiment:
             "--trials", "2", "--seed", "0", "--no-compare",
         ]
         assert main(args) == 2
-        assert "infeasible: point 0 (m=3)" in capsys.readouterr().err
+        assert "infeasible: point 0 (n=8, m=3)" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -116,6 +116,8 @@ class TestExperimentConfig:
             ({"trials": 0}, "trials must be"),
             ({"jobs": 0}, "jobs must be"),
             ({"variant": "fancy"}, "unknown variant"),
+            ({"n": ()}, "n must be"),
+            ({"n": (8, 8)}, "n must be"),
         ],
     )
     def test_rejects_bad_fields(self, overrides, message):
@@ -173,6 +175,19 @@ class TestConfigFile:
         with pytest.raises(ValueError, match="expected key=value"):
             load_config_file(path)
 
+    def test_size_list(self, tmp_path):
+        path = tmp_path / "sizes.cfg"
+        path.write_text(
+            "degrees = 1,3\nn = 512,1024\nmu = 0\ntrials = 2\n", encoding="utf-8"
+        )
+        cfg = config_from_mapping(load_config_file(path))
+        assert cfg.n == (512, 1024)
+        ds = parse_degree_set("1,3")
+        table = run_experiment(cfg)
+        assert [(r.n, r.m) for r in table.rows] == [
+            (n, edges_for_mu(ds, n, 0.0)[0]) for n in (512, 1024) for _ in range(2)
+        ]
+
     def test_m_list_maps_to_ms(self):
         cfg = config_from_mapping({"degrees": "1,3", "m": "10,12"})
         assert cfg.ms == (10, 12)
@@ -184,7 +199,7 @@ class TestConfigFile:
 
     def test_typed_values_pass_through(self):
         cfg = config_from_mapping({"degrees": "1,3", "n": 64, "mu": (1.0,)})
-        assert cfg.n == 64
+        assert cfg.n == (64,)
         assert cfg.mus == (1.0,)
 
     def test_unknown_mapping_key(self):
@@ -238,7 +253,7 @@ class TestRunExperiment:
         cfg = tiny_config(ms=(5,), trials=6)
         table = run_experiment(cfg)
         ds = parse_degree_set(cfg.degrees)
-        dp = build_dp(ds, cfg.n, 10)
+        dp = build_dp(ds, 8, 10)
         for row in table.rows:
             rng = trial_generator(cfg.seed, row.trial, 0)
             graphs, attempts = sample_batch(
@@ -263,7 +278,7 @@ class TestRunExperiment:
         # Trial 1 of the third point must come from generator (seed, 1, 2).
         point = points[2]
         row = [r for r in table.rows if r.m == point.m][1]
-        dp = build_dp(ds, cfg.n, 2 * point.m)
+        dp = build_dp(ds, point.n, 2 * point.m)
         graphs, attempts = sample_batch(
             ds, dp, [trial_generator(cfg.seed, 1, 2)], max_attempts=DEFAULT_MAX_ATTEMPTS
         )
@@ -299,13 +314,27 @@ class TestRunExperiment:
 
     def test_parallel_run_is_bit_identical(self):
         # 300 trials spans two chunks, so jobs=2 really exercises the pool.
-        sequential = run_experiment(tiny_config(trials=300, jobs=1))
-        parallel = run_experiment(tiny_config(trials=300, jobs=2))
-        assert sequential == parallel
+        for sweep in ({}, {"n": (8, 10), "ms": (5,)}):
+            sequential = run_experiment(tiny_config(trials=300, jobs=1, **sweep))
+            parallel = run_experiment(tiny_config(trials=300, jobs=2, **sweep))
+            assert sequential == parallel
+
+    def test_size_list_concatenates_single_size_runs(self):
+        # The stream of a point depends on its place in the mu list, not on
+        # n, so each size reproduces its own single-size run.
+        sweep = dict(degrees="1,3", mus=(-0.5, 0.5), trials=40, seed=5)
+        both = run_experiment(ExperimentConfig(n=(30, 60), **sweep))
+        small, large = (run_experiment(ExperimentConfig(n=n, **sweep)) for n in (30, 60))
+        rows = small.rows + large.rows
+        assert both == ResultTable(
+            degrees="1,3", seed=5, variant="scaled", rows=rows,
+            aggregates=aggregate_rows(rows),
+        )
+        assert [a.n for a in both.aggregates] == [30, 30, 60, 60]
 
     def test_infeasible_point_attaches_partial_table(self):
         cfg = tiny_config(ms=(4, 3))
-        with pytest.raises(InfeasibleError, match=r"point 1 \(m=3\)") as excinfo:
+        with pytest.raises(InfeasibleError, match=r"point 1 \(n=8, m=3\)") as excinfo:
             run_experiment(cfg)
         partial = excinfo.value.partial_table
         assert len(partial.rows) == 12
@@ -316,7 +345,7 @@ class TestRunExperiment:
         cfg = ExperimentConfig(
             degrees="1,3", n=4, ms=(5,), trials=3, seed=0, max_attempts=64
         )
-        with pytest.raises(MaxAttemptsError, match=r"point 0 \(m=5\)") as excinfo:
+        with pytest.raises(MaxAttemptsError, match=r"point 0 \(n=4, m=5\)") as excinfo:
             run_experiment(cfg)
         assert excinfo.value.partial_table.rows == ()
 
