@@ -26,9 +26,10 @@ excess distribution P(q) ~ e_{q0} t3^{2q} A(3q + 1/2, mu), survival = P(0),
 planarity (planar-kernel coefficients in the numerator), and the
 longest-2-path constants.  The planar kernel weights are tabulated only for
 q <= 4, so ``planarity`` is P(planar and total excess <= 4): a lower bound on
-the planarity probability, which ``planar_tail`` = P(excess >= 5) bounds from
-above.  The quantity that is exact in the limit is the conditional
-P(non-planar | excess <= 4), ``TheoryPrediction.nonplanar_low_excess``.
+the planarity probability, short of it by at most P(excess >= 5), which is
+1 - P(0) - ... - P(4).  The quantity that is exact in the limit is the
+conditional P(non-planar | excess <= 4),
+``TheoryPrediction.nonplanar_low_excess``.
 
 Negative mu drives catastrophic cancellation in the series (the result is
 ~e^{-|mu|^3/6} from terms that are exponentially large), so the core runs in
@@ -200,13 +201,14 @@ def _window_x(c2, c3, mu) -> mp.mpf:
     return mp.mpf(c2) * mp.mpf(c3) ** (mp.mpf(-2) / 3) * mp.mpf(mu)
 
 
-def _bigB_mp(c2, c3, y, mu, count: int = 1) -> list[mp.mpf]:
-    """bigB(y + i, mu) for i < count, at 40 digits, x formed at 40 digits too."""
+def _bigB_mp(c2, c3, y, mu, count: int = 1, step: int = 1) -> list[mp.mpf]:
+    """bigB(y + step i, mu) for i < count, at 40 digits, x formed at 40
+    digits too."""
     with mp.workdps(_BASE_DPS):
         c3 = mp.mpf(c3)
         y = mp.mpf(y)
-        sums = _window_sums(_window_x(c2, c3, mu), y, count)
-        return [c3 ** ((y + i - 2) / 3) / 3 * s for i, s in enumerate(sums)]
+        sums = _window_sums(_window_x(c2, c3, mu), y, step * (count - 1) + 1)[::step]
+        return [c3 ** ((y + step * i - 2) / 3) / 3 * s for i, s in enumerate(sums)]
 
 
 def bigB(cp: CriticalPoint, y: float, mu: float) -> float:
@@ -234,23 +236,29 @@ def bigA_classical(y: float, mu: float) -> float:
         return float(mp.e ** (-(mu**3) / 6) * b)
 
 
-def _delta_factor(cp: CriticalPoint, y, mu, variant: str) -> mp.mpf:
-    """bigA_delta(y, mu) / S(y) in the chosen printed form.
+def _bigA_mp(
+    cp: CriticalPoint, y, mu, variant: str, count: int = 1, step: int = 1
+) -> list[mp.mpf]:
+    """bigA_delta(y + step i, mu) for i < count in the chosen printed form,
+    at 40 digits; the only code that knows the two forms.
 
-    Both forms are (t3 zhat)^{1-y} c3^{(y-2)/3} / 3 times e^{-xi^3/6}
-    ("scaled", with xi = 2 c2 (3 c3)^{-2/3} mu) or e^{-mu^3/6} ("plain").
+    Both are (t3 zhat)^{1-y} bigB(y, mu) times a y-independent factor,
+    e^{-xi^3/6} with xi = 2 c2 (3 c3)^{-2/3} mu ("scaled") or e^{-mu^3/6}
+    ("plain").
     """
-    y = mp.mpf(y)
-    mu = mp.mpf(mu)
-    c3 = mp.mpf(cp.c3)
-    if variant == "scaled":
-        arg = 2 * mp.mpf(cp.c2) * (3 * c3) ** (mp.mpf(-2) / 3) * mu
-    elif variant == "plain":
-        arg = mu
-    else:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-    zt = mp.mpf(cp.t3) * mp.mpf(cp.zhat)
-    return mp.e ** (-(arg**3) / 6) * zt ** (1 - y) * c3 ** ((y - 2) / 3) / 3
+    with mp.workdps(_BASE_DPS):
+        mu = mp.mpf(mu)
+        if variant == "scaled":
+            arg = 2 * mp.mpf(cp.c2) * (3 * mp.mpf(cp.c3)) ** (mp.mpf(-2) / 3) * mu
+        elif variant == "plain":
+            arg = mu
+        else:
+            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
+        form = mp.e ** (-(arg**3) / 6)
+        zt = mp.mpf(cp.t3) * mp.mpf(cp.zhat)
+        y = mp.mpf(y)
+        bigs = _bigB_mp(cp.c2, cp.c3, y, mu, count, step)
+        return [form * zt ** (1 - y - step * i) * b for i, b in enumerate(bigs)]
 
 
 def bigA_delta(
@@ -258,10 +266,7 @@ def bigA_delta(
 ) -> float:
     """Degree-constrained window function, in the chosen printed form."""
     _check_args(y, mu)
-    with mp.workdps(_BASE_DPS):
-        factor = _delta_factor(cp, y, mu, variant)
-        (s,) = _window_sums(_window_x(cp.c2, cp.c3, mu), mp.mpf(y), 1)
-        return float(factor * s)
+    return float(_bigA_mp(cp, y, mu, variant)[0])
 
 
 def bigA_asymptotic(y: float, mu: float, direction: str) -> float:
@@ -295,8 +300,8 @@ class TheoryPrediction:
     """Normalised window predictions at one point of the critical window.
 
     ``planarity`` is P(planar and total excess <= PLANAR_Q_MAX), since the
-    planar kernel weights stop there; it is a lower bound on P(planar), and
-    ``planar_tail`` = P(excess > PLANAR_Q_MAX) bounds the remainder.  For the
+    planar kernel weights stop there; it is a lower bound on P(planar), short
+    of it by at most 1 - sum(excess_dist[:PLANAR_Q_MAX + 1]).  For the
     classical graph at mu = 0 the limit 0.99780 (Noy, Ravelomanana and Rue,
     Proc. AMS 2015) lies inside [0.99340, 0.99340 + 0.00596].
     """
@@ -307,8 +312,6 @@ class TheoryPrediction:
     excess_dist: tuple[float, ...]
     planarity: float
     q_max: int
-    tail_weight: float
-    planar_tail: float
 
     @property
     def nonplanar_low_excess(self) -> float:
@@ -324,14 +327,6 @@ def _excess_y(q: int) -> float:
     return 3 * q + 0.5
 
 
-def _window_column(cp: CriticalPoint, mu: float, variant: str, q_max: int):
-    """bigA_delta(3q + 1/2, mu) for q <= q_max, from one table of sums S(y)."""
-    factors = [_delta_factor(cp, _excess_y(q), mu, variant) for q in range(q_max + 1)]
-    x = _window_x(cp.c2, cp.c3, mu)
-    sums = _window_sums(x, mp.mpf(_excess_y(0)), 3 * q_max + 1)
-    return [f * sums[3 * q] for q, f in enumerate(factors)]
-
-
 def predict(
     cp: CriticalPoint, mu: float, variant: str = "scaled", q_max: int = 20
 ) -> TheoryPrediction:
@@ -341,17 +336,15 @@ def predict(
     over q <= q_max; the planarity numerator replaces e_{q0} by the planar
     kernel weights, tabulated through q = 4, so the returned ``planarity`` is
     P(planar and excess <= 4), a lower bound on P(planar) (see
-    TheoryPrediction).  A tail weight above 1e-6 triggers a truncation
-    warning.
+    TheoryPrediction).  A tail weight ``excess_dist[-1]`` = P(q_max) above
+    1e-6 triggers a truncation warning.
     """
     _check_args(0.5, mu)
     if q_max < 4:
         raise ValueError(f"q_max must be >= 4, got {q_max}")
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     with mp.workdps(_BASE_DPS):
         t3sq = mp.mpf(cp.t3) ** 2
-        window = _window_column(cp, mu, variant, q_max)
+        window = _bigA_mp(cp, _excess_y(0), mu, variant, q_max + 1, step=3)
         weights = []
         for q, a in enumerate(window):
             e = wright_e(q)
@@ -361,17 +354,15 @@ def predict(
         if total <= 0:
             raise ConvergenceError(f"non-positive excess weight total at mu = {mu}")
         probs = tuple(float(w / total) for w in weights)
-        tail = float(weights[-1] / total)
         planar_num = mp.mpf(0)
         for q in range(PLANAR_Q_MAX + 1):
             c = planar_c(q)
             w = mp.mpf(c.numerator) / mp.mpf(c.denominator) * t3sq**q * window[q]
             planar_num += w
         planarity = float(planar_num / total)
-        planar_tail = max(0.0, float(1.0 - sum(probs[: PLANAR_Q_MAX + 1])))
-    if tail > 1e-6:
+    if probs[-1] > 1e-6:
         warnings.warn(
-            f"excess-distribution tail weight {tail:.3g} at q_max = {q_max} "
+            f"excess-distribution tail weight {probs[-1]:.3g} at q_max = {q_max} "
             f"exceeds 1e-6; raise q_max",
             RuntimeWarning,
             stacklevel=2,
@@ -383,8 +374,6 @@ def predict(
         excess_dist=probs,
         planarity=planarity,
         q_max=q_max,
-        tail_weight=tail,
-        planar_tail=planar_tail,
     )
 
 

@@ -15,7 +15,7 @@ import json
 import math
 import sys
 
-from .asymptotics import VARIANTS, predict, twopath_constants
+from .asymptotics import predict, twopath_constants
 from .critical import critical_point
 from .degset import parse_degree_set
 from .errors import InfeasibleError, MaxAttemptsError
@@ -69,7 +69,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", required=True)
     p.add_argument("--mu", required=True, type=_comma_list(float),
                    help="comma list; use --mu=-2,0,2 for negative values")
-    p.add_argument("--variant", default="scaled", choices=(*VARIANTS, "both"))
     p.add_argument("--qmax", default=20, type=int, help="truncation of the excess distribution")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
@@ -99,7 +98,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int)
     p.add_argument("--out", help="output path (default: stdout)")
     p.add_argument("--format", default="csv", choices=("csv", "json"))
-    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--qmax", default=20, type=int)
     p.add_argument("--no-compare", action="store_true",
                    help="skip the theory comparison printed to stderr")
@@ -125,26 +123,23 @@ def _cmd_threshold(args) -> int:
     return 0
 
 
-def _predict_row(cp, mu: float, variant: str, qmax: int) -> dict:
-    pred = predict(cp, mu, variant, qmax)
+def _predict_row(cp, mu: float, qmax: int) -> dict:
+    pred = predict(cp, mu, q_max=qmax)
     two = twopath_constants(cp, mu, q=1)
-    row = {
+    return {
         "mu": mu,
-        "variant": variant,
         "survival": pred.survival,
         **{f"p{q}": pred.excess_dist[q] for q in range(PREDICT_Q_SHOWN + 1)},
         "planarity": pred.planarity,
         "b1": two.b1,
         "b2": two.b2,
     }
-    return row
 
 
 def _cmd_predict(args) -> int:
     ds = parse_degree_set(args.degrees)
     cp = critical_point(ds)
-    variants = VARIANTS if args.variant == "both" else (args.variant,)
-    rows = [_predict_row(cp, mu, v, args.qmax) for mu in args.mu for v in variants]
+    rows = [_predict_row(cp, mu, args.qmax) for mu in args.mu]
     if args.json:
         print(json.dumps(rows, indent=1))
     elif args.csv:
@@ -155,7 +150,7 @@ def _cmd_predict(args) -> int:
                            for c in cols))
     else:
         for row in rows:
-            print(f"mu = {row['mu']:+g}  [{row['variant']}]")
+            print(f"mu = {row['mu']:+g}")
             print(f"  survival  = {row['survival']:.6f}")
             dist = "  ".join(f"P({q})={row[f'p{q}']:.5f}" for q in range(PREDICT_Q_SHOWN + 1))
             print(f"  excess    : {dist}")

@@ -40,8 +40,6 @@ from .degset import (
     egf_eval_complex,
     periodicity,
     phi0,
-    phi1,
-    _power_arrays,
 )
 from .errors import (
     ConvergenceError,
@@ -72,49 +70,63 @@ ER_CRITICAL_POINT = CriticalPoint(
 )
 
 
-def _phi1_derivative(ds: DegreeSet, z: float) -> float:
-    w1 = egf_eval(ds, z, 1)
-    w2 = egf_eval(ds, z, 2)
-    w3 = egf_eval(ds, z, 3)
-    return (w2 + z * w3) / w1 - z * (w2 / w1) ** 2
+def _phi_root(ds: DegreeSet, k: int, target: float, error: type[Exception]) -> float:
+    """Solve phi_k(z) = z omega^(k+1)(z) / omega^(k)(z) = target for z > 0.
 
+    phi_k is non-decreasing on the positive axis.  The root is bracketed by
+    halving and doubling from 1, narrowed by 80 bisection steps, and polished
+    by at most three Newton steps that stay inside the bracket, with
+    phi_k' = (w_{k+1} + z w_{k+2}) / w_k - z (w_{k+1} / w_k)^2.  Raises
+    ``error`` when the target is not inside the range of phi_k that the
+    brackets reach, or when evaluating phi_k fails on the way.
+    """
 
-def _solve(ds: DegreeSet) -> CriticalPoint:
-    """The uncached solve behind ``critical_point``."""
+    def phi(z: float) -> float:
+        try:
+            return z * egf_eval(ds, z, k + 1) / egf_eval(ds, z, k)
+        except ArithmeticError as exc:
+            raise error(f"phi{k} fails at z = {z} for {ds}: {exc}") from None
+
     lo = hi = 1.0
     for _ in range(200):
-        if phi1(ds, lo) < 1.0:
+        if phi(lo) < target:
             break
         lo /= 2.0
     else:
-        raise NoCriticalPointError(f"phi1 never drops below 1 near 0 for {ds}")
+        raise error(f"phi{k} never drops below {target} near 0 for {ds}")
     for _ in range(200):
-        if phi1(ds, hi) > 1.0:
+        if phi(hi) > target:
             break
         hi *= 2.0
     else:
-        raise NoCriticalPointError(
-            f"phi1 never exceeds 1 for {ds}; no critical point on the "
-            f"materialised degree range"
+        raise error(
+            f"phi{k} never exceeds {target} for {ds} on the materialised degree range"
         )
     for _ in range(_BISECT_STEPS):
         mid = 0.5 * (lo + hi)
-        if phi1(ds, mid) < 1.0:
+        if phi(mid) < target:
             lo = mid
         else:
             hi = mid
     z = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
-        f = phi1(ds, z) - 1.0
-        df = _phi1_derivative(ds, z)
+        w0 = egf_eval(ds, z, k)
+        w1 = egf_eval(ds, z, k + 1)
+        w2 = egf_eval(ds, z, k + 2)
+        f = z * w1 / w0 - target
+        df = (w1 + z * w2) / w0 - z * (w1 / w0) ** 2
         if df <= 0.0:
             break
-        step = f / df
-        z_new = z - step
+        z_new = z - f / df
         if not (lo <= z_new <= hi):
             break
         z = z_new
-    zhat = z
+    return z
+
+
+def _solve(ds: DegreeSet) -> CriticalPoint:
+    """The uncached solve behind ``critical_point``."""
+    zhat = _phi_root(ds, 1, 1.0, NoCriticalPointError)
     alpha = phi0(ds, zhat) / 2.0
     w1 = egf_eval(ds, zhat, 1)
     w3 = egf_eval(ds, zhat, 3)
@@ -245,46 +257,7 @@ def root1(ds: DegreeSet, r: float) -> float:
     example r = min(D)/2, attained only in the z -> 0 limit).  At r = alpha
     the root coincides with zhat, making the saddle of h a double root.
     """
-    target = 2.0 * r
-    lo = 1e-12
-    if phi0(ds, lo) >= target:
-        raise OutOfRangeError(
-            f"2r = {target} is at or below the lower limit of phi0 for {ds}; "
-            f"no interior root"
-        )
-    hi = max(1.0, lo)
-    for _ in range(200):
-        try:
-            if phi0(ds, hi) > target:
-                break
-        except ArithmeticError as exc:
-            raise OutOfRangeError(
-                f"2r = {target} not reached by phi0 before truncation "
-                f"instability for {ds}: {exc}"
-            ) from None
-        hi *= 2.0
-    else:
-        raise OutOfRangeError(f"2r = {target} exceeds the range of phi0 for {ds}")
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if phi0(ds, mid) < target:
-            lo = mid
-        else:
-            hi = mid
-    z = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        w0 = egf_eval(ds, z, 0)
-        w1 = egf_eval(ds, z, 1)
-        w2 = egf_eval(ds, z, 2)
-        f = z * w1 / w0 - target
-        df = (w1 + z * w2) / w0 - z * (w1 / w0) ** 2
-        if df <= 0.0:
-            break
-        z_new = z - f / df
-        if not (lo <= z_new <= hi):
-            break
-        z = z_new
-    return z
+    return _phi_root(ds, 0, 2.0 * r, OutOfRangeError)
 
 
 def h_eval(ds: DegreeSet, z: complex, r: float) -> complex:
@@ -334,8 +307,8 @@ def petrov_profile(
         )
     theta = 2.0 * np.pi * np.arange(grid_size) / grid_size
     zs = z0 * np.exp(1j * theta)
-    w0 = _egf_grid(ds, zs, 0)
-    w1 = _egf_grid(ds, zs, 1)
+    w0 = egf_eval_complex(ds, zs, 0)
+    w1 = egf_eval_complex(ds, zs, 1)
     with np.errstate(divide="ignore"):
         vals = r * (np.log(np.abs(w1)) - math.log(z0)) + (1.0 - r) * np.log(
             np.abs(2.0 * w0 - zs * w1)
@@ -375,18 +348,3 @@ def petrov_profile(
         margin=margin,
     )
 
-
-def _egf_grid(ds: DegreeSet, zs: np.ndarray, order: int) -> np.ndarray:
-    ps, aux = _power_arrays(ds.degrees, order)
-    if ps.size == 0:
-        return np.zeros_like(zs)
-    small, fact_small, logfact = aux
-    out = np.zeros_like(zs)
-    for p, f in zip(ps[small], fact_small):
-        out += zs ** int(p) / f
-    big = ~small
-    if big.any():
-        logz = np.log(zs.astype(np.complex128))
-        for p, lf in zip(ps[big], logfact[big]):
-            out += np.exp(int(p) * logz - lf)
-    return out

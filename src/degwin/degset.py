@@ -241,26 +241,29 @@ def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
     )
 
 
-def egf_eval_complex(ds: DegreeSet, z: complex, order: int = 0) -> complex:
+def egf_eval_complex(ds: DegreeSet, z, order: int = 0):
     """Termwise-derivative EGF at complex z (used by saddle evaluations).
 
-    No tail-stability doubling: callers keep |z| at or below the real radius
-    they have already validated.
+    ``z`` is a complex scalar, which gives a complex, or an array, which
+    gives an array of the same shape; a scalar's terms are summed with
+    math.fsum, an array's with numpy.  No tail-stability doubling: callers
+    keep |z| at or below the real radius they have already validated.
     """
+    zs = np.asarray(z, dtype=np.complex128)
     ps, aux = _power_arrays(ds.degrees, order)
     if ps.size == 0:
-        return 0.0 + 0.0j
-    if z == 0:
+        return 0.0 + 0.0j if zs.ndim == 0 else np.zeros_like(zs)
+    if zs.ndim == 0 and z == 0:
         return complex(1.0 if ps[0] == 0 else 0.0)
     small, fact_small, logfact = aux
-    terms = np.empty(ps.size, dtype=np.complex128)
-    terms[small] = np.power(z, ps[small]) / fact_small
+    terms = np.empty(zs.shape + ps.shape, dtype=np.complex128)
+    terms[..., small] = np.power(zs[..., None], ps[small]) / fact_small
     big = ~small
     if big.any():
-        terms[big] = np.exp(ps[big] * np.log(complex(z)) - logfact[big])
-    re = math.fsum(terms.real.tolist())
-    im = math.fsum(terms.imag.tolist())
-    return complex(re, im)
+        terms[..., big] = np.exp(ps[big] * np.log(zs)[..., None] - logfact[big])
+    if zs.ndim:
+        return terms.sum(axis=-1)
+    return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
 
 
 def phi0(ds: DegreeSet, z: float) -> float:

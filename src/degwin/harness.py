@@ -26,8 +26,9 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
+from scipy.special import chdtrc
 
-from .asymptotics import PLANAR_Q_MAX, VARIANTS, predict
+from .asymptotics import PLANAR_Q_MAX, predict
 from .critical import CriticalPoint, critical_point
 from .degset import DegreeSet, parse_degree_set
 from .errors import InfeasibleError, MaxAttemptsError
@@ -72,7 +73,6 @@ class ExperimentConfig:
     seed: int = 0
     jobs: int = 1
     out: str | None = None
-    variant: str = "scaled"
     max_attempts: int = DEFAULT_MAX_ATTEMPTS
 
     def __post_init__(self):
@@ -87,10 +87,6 @@ class ExperimentConfig:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {self.jobs}")
-        if self.variant not in VARIANTS:
-            raise ValueError(
-                f"unknown variant {self.variant!r}; expected one of {VARIANTS}"
-            )
         if self.mus and self.ms:
             raise ValueError("give a mu-list or an m-list, not both")
         if not self.mus and not self.ms:
@@ -112,7 +108,6 @@ _CONFIG_CONVERTERS = {
     "seed": int,
     "jobs": int,
     "out": str,
-    "variant": str,
     "max_attempts": int,
 }
 _CONFIG_FIELDS = {"mu": "mus", "m": "ms"}
@@ -312,7 +307,6 @@ class ResultTable:
 
     degrees: str
     seed: int
-    variant: str
     rows: tuple[TrialRow, ...]
     aggregates: tuple[PointAggregate, ...]
 
@@ -391,7 +385,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
             err.partial_table = ResultTable(
                 degrees=cfg.degrees,
                 seed=cfg.seed,
-                variant=cfg.variant,
                 rows=tuple(rows),
                 aggregates=aggregate_rows(rows),
             )
@@ -403,7 +396,6 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     return ResultTable(
         degrees=cfg.degrees,
         seed=cfg.seed,
-        variant=cfg.variant,
         rows=tuple(rows),
         aggregates=aggregate_rows(rows),
     )
@@ -445,7 +437,6 @@ class DiameterScaling:
 
 @dataclass(frozen=True)
 class TheoryReport:
-    variant: str
     points: tuple[PointComparison, ...]
     scalings: tuple[DiameterScaling, ...]
 
@@ -465,6 +456,17 @@ def _rate_check(pred: float, obs: float | None, trials: int) -> tuple[float, boo
     return z, abs(diff) <= 3.0 * sigma + ACCEPT_SLACK
 
 
+def chi2_pvalue(observed, expected=None) -> float:
+    """Pearson chi-square p-value of observed counts against expected ones
+    (uniform over the cells when ``expected`` is None), with k - 1 degrees
+    of freedom for k cells."""
+    observed = np.asarray(observed, dtype=float)
+    if expected is None:
+        expected = np.full(observed.shape, observed.mean())
+    stat = float(np.sum((observed - expected) ** 2 / expected))
+    return float(chdtrc(observed.size - 1, stat))
+
+
 def _excess_chi2(agg: PointAggregate, excess_dist) -> float:
     """Chi-square p-value over q = 0..4, renormalised to that range."""
     hist = dict(agg.excess_histogram)
@@ -474,15 +476,12 @@ def _excess_chi2(agg: PointAggregate, excess_dist) -> float:
         return 0.0
     mass = sum(excess_dist[:EXCESS_CHI2_RANGE])
     expected = np.array(excess_dist[:EXCESS_CHI2_RANGE]) / mass * captured
-    from scipy.stats import chisquare  # here: most of a second of import time
-
-    return float(chisquare(observed, expected).pvalue)
+    return chi2_pvalue(observed, expected)
 
 
 def compare_theory(
     rt: ResultTable,
     cp: CriticalPoint,
-    variant: str | None = None,
     q_max: int = 20,
 ) -> TheoryReport:
     """Z-scores and chi-square fits of the table against window predictions.
@@ -496,7 +495,6 @@ def compare_theory(
     no trial in that range fails the non-planarity check (z is NaN).  Warns
     rather than fails below 1000 trials per point.
     """
-    variant = variant or rt.variant
     comparisons = []
     for agg in rt.aggregates:
         if agg.trials < MIN_TRIALS_FOR_COMPARISON:
@@ -505,7 +503,7 @@ def compare_theory(
                 f"comparison lacks power",
                 stacklevel=2,
             )
-        pred = predict(cp, agg.realized_mu, variant, q_max)
+        pred = predict(cp, agg.realized_mu, q_max=q_max)
         survival_z, survival_ok = _rate_check(
             pred.survival, agg.survival_rate, agg.trials
         )
@@ -552,9 +550,7 @@ def compare_theory(
                         expected_ratio=(b.n / a.n) ** (1.0 / 3.0),
                     )
                 )
-    return TheoryReport(
-        variant=variant, points=tuple(comparisons), scalings=tuple(scalings)
-    )
+    return TheoryReport(points=tuple(comparisons), scalings=tuple(scalings))
 
 
 def _cell(value) -> str:
@@ -580,7 +576,6 @@ def render_json(rt: ResultTable) -> str:
     doc = {
         "degrees": rt.degrees,
         "seed": rt.seed,
-        "variant": rt.variant,
         "columns": list(CSV_COLUMNS),
         "rows": [
             [int(v) if isinstance(v, bool) else v for v in _values(r)]

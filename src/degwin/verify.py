@@ -56,6 +56,7 @@ from .harness import (
     CHI2_MIN_P,
     ExperimentConfig,
     PointAggregate,
+    chi2_pvalue,
     compare_theory,
     run_experiment,
 )
@@ -324,9 +325,7 @@ def pairing_uniformity(rng: np.random.Generator, accepted: int) -> list[VerifyCh
         if pairs is not None:
             u, v = pairs
             counts[0 if np.any((u == 1) & (v == 3)) else 1] += 1
-    from scipy.stats import chisquare  # here: most of a second of import time
-
-    p = chisquare(counts).pvalue
+    p = chi2_pvalue(counts)
     return [_check(
         "pairing conditional uniformity",
         p > CHI2_MIN_P,
@@ -343,9 +342,7 @@ def degree_position_uniformity(seed: int, draws: int) -> list[VerifyCheck]:
     for t in range(draws):
         seq = sample_degree_sequence(dp, ds, trial_generator(seed, t, point_index=303))
         counts[int(np.argmax(seq))] += 1
-    from scipy.stats import chisquare  # here: most of a second of import time
-
-    p = chisquare(counts).pvalue
+    p = chi2_pvalue(counts)
     return [_check(
         "degree-position uniformity",
         p > CHI2_MIN_P,

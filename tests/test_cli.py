@@ -18,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from degwin.asymptotics import VARIANTS, predict, twopath_constants
+from degwin.asymptotics import predict, twopath_constants
 from degwin.cli import THRESHOLD_FIELDS, main
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
@@ -61,7 +61,7 @@ class TestPredict:
         out = capsys.readouterr().out
         cp = critical_point(parse_degree_set("1,3"))
         pred = predict(cp, 0.0, "scaled", 20)
-        assert "[scaled]" in out
+        assert out.startswith("mu = +0\n")
         assert f"survival  = {pred.survival:.6f}" in out
         assert f"P(0)={pred.excess_dist[0]:.5f}" in out
         assert f"planarity = {pred.planarity:.6f}" in out
@@ -75,7 +75,7 @@ class TestPredict:
         for row in rows:
             pred = predict(cp, row["mu"], "scaled", 20)
             two = twopath_constants(cp, row["mu"], q=1)
-            assert row["variant"] == "scaled"
+            assert "variant" not in row
             assert row["survival"] == pred.survival
             for q in range(7):
                 assert row[f"p{q}"] == pred.excess_dist[q]
@@ -83,20 +83,27 @@ class TestPredict:
             assert row["b1"] == two.b1
             assert row["b2"] == two.b2
 
-    def test_csv_with_both_variants(self, capsys):
-        assert main(
-            ["predict", "--degrees", "1,3", "--mu=-1,0", "--variant", "both", "--csv"]
-        ) == 0
+    def test_csv_rows_match_library(self, capsys):
+        assert main(["predict", "--degrees", "1,3", "--mu=-1,0", "--csv"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
         header = lines[0].split(",")
-        assert header[:3] == ["mu", "variant", "survival"]
+        assert header[:2] == ["mu", "survival"]
         assert "p0" in header and "p6" in header and "b2" in header
         body = [line.split(",") for line in lines[1:]]
-        assert len(body) == 4
-        assert [row[1] for row in body] == [*VARIANTS, *VARIANTS]
+        assert [float(row[0]) for row in body] == [-1.0, 0.0]
         cp = critical_point(parse_degree_set("1,3"))
-        pred = predict(cp, -1.0, VARIANTS[0], 20)
-        assert float(body[0][2]) == pytest.approx(pred.survival, rel=1e-8)
+        for row in body:
+            pred = predict(cp, float(row[0]), "scaled", 20)
+            assert float(row[1]) == pytest.approx(pred.survival, rel=1e-8)
+
+    @pytest.mark.parametrize("command", ["predict", "experiment"])
+    def test_variant_flag_is_gone(self, command, capsys):
+        # The printed form of the window function cancels in every
+        # normalised number, so neither command takes it.
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, "--degrees", "1,3", "--mu", "0", "--variant", "plain"])
+        assert excinfo.value.code == 2
+        assert "--variant" in capsys.readouterr().err
 
     def test_qmax_flag_reaches_prediction(self, capsys):
         with pytest.raises(ValueError, match="q_max"):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -128,6 +129,18 @@ class TestEgf:
             cplx = egf_eval_complex(ds, complex(z, 0.0), order)
             assert cplx.imag == 0.0
             assert cplx.real == pytest.approx(real, rel=1e-9)
+
+    @pytest.mark.parametrize("spec", ["1,3", "1,3,5,7", "all:60"])
+    def test_array_evaluation_matches_scalar_calls(self, spec):
+        # An array of z gives the scalar values, summed in another order.
+        ds = parse_degree_set(spec)
+        zs = 0.9 * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 12)).reshape(3, 4)
+        for order in (0, 1, 2):
+            got = egf_eval_complex(ds, zs, order)
+            assert got.shape == zs.shape
+            for z, value in zip(zs.ravel(), got.ravel()):
+                want = egf_eval_complex(ds, z, order)
+                assert value == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestCharacteristicFunctions:

@@ -27,6 +27,7 @@ from degwin.harness import (
     TheoryReport,
     TrialRow,
     aggregate_rows,
+    chi2_pvalue,
     compare_theory,
     config_from_mapping,
     emit,
@@ -101,7 +102,6 @@ class TestExperimentConfig:
         cfg = ExperimentConfig(degrees="1,3")
         assert cfg.mus == (0.0,)
         assert cfg.ms == ()
-        assert cfg.variant == "scaled"
         assert cfg.max_attempts == DEFAULT_MAX_ATTEMPTS
 
     def test_mu_and_m_lists_are_exclusive(self):
@@ -115,7 +115,7 @@ class TestExperimentConfig:
             ({"n": 0}, "n must be"),
             ({"trials": 0}, "trials must be"),
             ({"jobs": 0}, "jobs must be"),
-            ({"variant": "fancy"}, "unknown variant"),
+            ({"n": (8, 0)}, "n must be"),
             ({"n": ()}, "n must be"),
             ({"n": (8, 8)}, "n must be"),
         ],
@@ -138,8 +138,7 @@ class TestConfigFile:
             "mu = -2,0,2   # window locations\n"
             "trials = 500\n"
             "seed = 42\n"
-            "jobs = 2\n"
-            "variant = plain\n",
+            "jobs = 2\n",
             encoding="utf-8",
         )
         mapping = load_config_file(path)
@@ -150,7 +149,6 @@ class TestConfigFile:
             "trials": "500",
             "seed": "42",
             "jobs": "2",
-            "variant": "plain",
         }
         cfg = config_from_mapping(mapping)
         assert cfg == ExperimentConfig(
@@ -160,13 +158,20 @@ class TestConfigFile:
             trials=500,
             seed=42,
             jobs=2,
-            variant="plain",
         )
 
     def test_unknown_key_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("degrees = 1,3\nwat = 7\n", encoding="utf-8")
         with pytest.raises(ValueError, match=r"bad\.cfg:2: unknown key 'wat'"):
+            load_config_file(path)
+
+    def test_variant_key_is_unknown(self, tmp_path):
+        # The printed form of the window function cancels in every number
+        # the comparison reads, so a sweep has no variant setting.
+        path = tmp_path / "old.cfg"
+        path.write_text("degrees = 1,3\nvariant = plain\n", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"old\.cfg:2: unknown key 'variant'"):
             load_config_file(path)
 
     def test_missing_equals_reports_location(self, tmp_path):
@@ -306,10 +311,11 @@ class TestRunExperiment:
     def test_seeded_json_is_pinned(self):
         # Digest of the JSON document (rows and aggregates) for the same
         # config, computed before the row schema was derived from TrialRow's
-        # fields.
+        # fields, less the document's "variant" line, which went with the
+        # variant setting of the harness.
         text = render_json(run_experiment(self.PINNED))
         assert hashlib.sha256(text.encode()).hexdigest() == (
-            "aee8fe75c60a38b7c65e284110c5da420758c92dc7a47e3487fa51d31bef491e"
+            "decb494b976da0e95d17d26e2a04c8927e0796226b18acba27222f699832f21c"
         )
 
     def test_parallel_run_is_bit_identical(self):
@@ -327,7 +333,7 @@ class TestRunExperiment:
         small, large = (run_experiment(ExperimentConfig(n=n, **sweep)) for n in (30, 60))
         rows = small.rows + large.rows
         assert both == ResultTable(
-            degrees="1,3", seed=5, variant="scaled", rows=rows,
+            degrees="1,3", seed=5, rows=rows,
             aggregates=aggregate_rows(rows),
         )
         assert [a.n for a in both.aggregates] == [30, 30, 60, 60]
@@ -417,7 +423,6 @@ class TestAggregates:
         stale = ResultTable(
             degrees=table.degrees,
             seed=table.seed,
-            variant=table.variant,
             rows=table.rows,
             aggregates=(),
         )
@@ -436,7 +441,6 @@ class TestEmitAndParse:
             ResultTable(
                 degrees="1,3",
                 seed=0,
-                variant="scaled",
                 rows=(row,),
                 aggregates=aggregate_rows((row,)),
             )
@@ -508,7 +512,6 @@ class TestEmitAndParse:
         table = ResultTable(
             degrees="1,3",
             seed=0,
-            variant="scaled",
             rows=(good,),
             aggregates=aggregate_rows((good,)),
         )
@@ -554,9 +557,7 @@ def synthetic_aggregate(**overrides) -> PointAggregate:
 
 def table_of(aggregates) -> ResultTable:
     """Aggregate-only table; compare_theory never touches the rows."""
-    return ResultTable(
-        degrees="1,3", seed=0, variant="scaled", rows=(), aggregates=tuple(aggregates)
-    )
+    return ResultTable(degrees="1,3", seed=0, rows=(), aggregates=tuple(aggregates))
 
 
 @pytest.fixture(scope="module")
@@ -570,7 +571,6 @@ def report_and_table():
 class TestCompareTheory:
     def test_point_comparison_is_self_consistent(self, report_and_table):
         report, table = report_and_table
-        assert report.variant == "scaled"
         (point,) = report.points
         (agg,) = table.aggregates
         assert (point.n, point.m, point.trials) == (agg.n, agg.m, agg.trials)
@@ -606,6 +606,20 @@ class TestCompareTheory:
         expected = [p / sum(dist[:5]) * sum(observed) for p in dist[:5]]
         pvalue = float(scipy_stats.chisquare(observed, expected).pvalue)
         assert point.excess_pvalue == pytest.approx(pvalue, rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "observed, expected",
+        [
+            ([1040, 960], None),
+            ([9, 0, 14, 11], None),
+            ([500, 80, 30, 12, 6], [489.5, 88.0, 33.25, 14.0, 3.25]),
+        ],
+    )
+    def test_chi2_pvalue_matches_scipy(self, observed, expected):
+        # Uniform expectation when none is given, as verify's uniformity
+        # sections use it.
+        want = float(scipy_stats.chisquare(observed, expected).pvalue)
+        assert chi2_pvalue(observed, expected) == pytest.approx(want, rel=1e-12, abs=0)
 
     def test_underpowered_point_warns(self):
         cfg = ExperimentConfig(degrees="1,3", n=30, mus=(0.0,), trials=20, seed=5)
@@ -686,5 +700,5 @@ class TestCompareTheory:
         )
         good = PointComparison(**base)
         bad = PointComparison(**{**base, "excess_ok": False})
-        assert TheoryReport(variant="scaled", points=(good,), scalings=()).passed
-        assert not TheoryReport(variant="scaled", points=(good, bad), scalings=()).passed
+        assert TheoryReport(points=(good,), scalings=()).passed
+        assert not TheoryReport(points=(good, bad), scalings=()).passed
