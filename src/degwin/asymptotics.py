@@ -40,7 +40,20 @@ exact identities keep its cost down:
 
   * along one series the Gamma argument drops by 2 every three terms, and
     1/Gamma(s-2) = (s-1)(s-2)/Gamma(s), so only the first three terms call
-    rgamma (a pole stays a zero along its residue class, as it should);
+    rgamma.  Every later term is the one three places back times the exact
+    rational
+
+        t_k / t_{k-3} = x^3 (N + 3D) N / (9 D^2 k (k-1) (k-2)),
+
+    with x = m_x 2^{e_x} and y = m_y 2^{e_y} dyadic, D = 2^{max(0, -e_y)}
+    and N = yD + (1-2k)D, so the sum runs in Python integers with one floor
+    division per term.  Each residue class of k keeps its latest term as a
+    mantissa renormalised to the working precision plus 64 bits and an
+    exponent; a class that reaches a pole becomes exactly 0 and stays 0.  The
+    running sum is a fixed-point integer whose unit lies prec + 64 bits below
+    the leading bit of the smallest nonzero of the first three terms, and the
+    sum and the largest term are rounded to the working precision once, at
+    the end;
   * across series, 1/Gamma(s-1) = (s-1)/Gamma(s) gives the recurrence
 
         (y+1) S(y+3) = 3 S(y) + 2x S(y+1),
@@ -65,7 +78,7 @@ from fractions import Fraction
 import mpmath as mp
 
 from .critical import CriticalPoint, ER_CRITICAL_POINT
-from .errors import ConvergenceError
+from .errors import ConvergenceError, OutOfRangeError
 
 MU_SERIES_LIMIT = 20.0
 VARIANTS = ("scaled", "plain")
@@ -111,37 +124,77 @@ def planar_c(q: int) -> Fraction:
         ) from None
 
 
+def _dyadic(v: mp.mpf) -> tuple[int, int]:
+    """(m, e) with v = m 2^e exactly, m a signed integer."""
+    m, e = v.man_exp
+    return (-m if v < 0 else m), e
+
+
+def _less(a: int, ea: int, b: int, eb: int) -> bool:
+    """a 2^ea < b 2^eb, exactly."""
+    return a << (ea - eb) < b if ea >= eb else a < b << (eb - ea)
+
+
 def _series_sum(x: mp.mpf, y: mp.mpf):
     """S(y) = sum_k x^k / (k! Gamma((y+1-2k)/3)) with the stated stopping rule.
 
     Summation stops once five terms in a row fall below 1e-16 of the running
-    sum.  Returns (sum, max |term|); raises ConvergenceError after _MAX_TERMS
-    terms.
+    sum.  Returns (sum, max |term|) at the working precision; raises
+    ConvergenceError after _MAX_TERMS terms.  After the first three terms
+    the sum runs in integers (see the module docstring): each term is
+    t = m 2^e, and the sum is s 2^unit.
     """
-    s = mp.mpf(0)
-    max_term = mp.mpf(0)
+    bits = mp.mp.prec + 64
+    cls = []  # the latest term of each residue class of k, as (m, e)
+    coeff = mp.mpf(1)  # x^k / k!
+    for k in range(3):
+        m, e = _dyadic(coeff * mp.rgamma(mp.mpf(y + 1 - 2 * k) / 3))
+        shift = bits - m.bit_length()
+        cls.append((m << shift, e - shift))
+        coeff = coeff * x / (k + 1)
+    unit = min((e + m.bit_length() for m, e in cls if m), default=0) - bits
+    mx, ex = _dyadic(x)
+    x3, ex3 = mx**3, 3 * ex
+    my, ey = _dyadic(y)
+    d = 1 << max(0, -ey)  # y d is an integer
+    yd = my << max(0, ey)
+    d9 = 9 * d * d
+    s = 0
+    top, max_m, max_e = -math.inf, 0, 0  # bit position, mantissa, exponent of max |t|
     below = 0
-    term_scale = mp.mpf(10) ** (-16)
-    coeff = mp.mpf(1)  # x^k / k!, updated incrementally
-    rgam = [None, None, None]  # 1/Gamma of the argument, per residue class of k
+    ten16 = 10**16
     for k in range(_MAX_TERMS):
-        a = mp.mpf(y + 1 - 2 * k) / 3
-        if k < 3:
-            rgam[k] = mp.rgamma(a)
-        else:
-            rgam[k % 3] *= (a + 1) * a  # 1/Gamma(a) = (a+1) a / Gamma(a+2)
-        t = coeff * rgam[k % 3]
-        s += t
-        at = abs(t)
-        if at > max_term:
-            max_term = at
-        if s != 0 and at < term_scale * abs(s):
+        r = k % 3
+        m, e = cls[r]
+        if k >= 3 and m:
+            # t_k = t_{k-3} x^3 (a+1) a / (k (k-1) (k-2)), a = (y+1-2k)/3; a
+            # pole makes num, and so the class, zero for good
+            n = yd + (1 - 2 * k) * d
+            num = m * ((n + 3 * d) * n) * x3
+            den = d9 * (k * (k - 1) * (k - 2))
+            shift = bits - num.bit_length() + den.bit_length()
+            m = (num << shift) // den if shift >= 0 else (num >> -shift) // den
+            e += ex3 - shift
+            cls[r] = (m, e)
+        small = s != 0  # |t| 10^16 < |s|
+        if m:
+            s += m << (e - unit) if e >= unit else m >> (unit - e)
+            am = abs(m)
+            pos = am.bit_length() + e  # 2^(pos-1) <= |t| < 2^pos
+            if pos > top or pos == top and _less(max_m, max_e, am, e):
+                top, max_m, max_e = pos, am, e
+            # 2^lead > |s| >= 2^(lead-1), and 10^16 lies in (2^53, 2^54)
+            lead = s.bit_length() + unit
+            small = s != 0 and (
+                pos + 55 <= lead
+                or pos + 52 < lead and _less(am * ten16, e, abs(s), unit)
+            )
+        if small:
             below += 1
             if below >= 5:
-                return s, max_term
+                return mp.mpf((s, unit)), mp.mpf((max_m, max_e))
         else:
             below = 0
-        coeff = coeff * x / (k + 1)
     raise ConvergenceError(
         f"series for bigB did not converge within {_MAX_TERMS} terms "
         f"(x = {float(x)}, y = {float(y)})"
@@ -219,9 +272,9 @@ def bigB(cp: CriticalPoint, y: float, mu: float) -> float:
 
 def _check_args(y: float, mu: float):
     if not (y >= 0.5):
-        raise ValueError(f"y must be >= 1/2, got {y}")
+        raise OutOfRangeError(f"y must be >= 1/2, got {y}")
     if not (abs(mu) <= MU_SERIES_LIMIT):
-        raise ValueError(
+        raise OutOfRangeError(
             f"|mu| <= {MU_SERIES_LIMIT} required for series evaluation "
             f"(got {mu}); use bigA_asymptotic beyond"
         )

@@ -4,7 +4,8 @@ Subcommands: threshold (critical constants of a degree family), predict
 (window predictions over a mu list), sample (graphs as JSONL), experiment
 (Monte Carlo sweep to CSV/JSON), verify (invariant suite).
 
-Exit codes: 0 success; 2 infeasible configuration; 3 statistical acceptance
+Exit codes: 0 success; 2 infeasible configuration or any other error of the
+package (degwin.errors), reported in one line; 3 statistical acceptance
 failure in verify.
 """
 
@@ -18,7 +19,7 @@ import sys
 from .asymptotics import predict, twopath_constants
 from .critical import critical_point
 from .degset import parse_degree_set
-from .errors import InfeasibleError, MaxAttemptsError
+from .errors import DegwinError, InfeasibleError, MaxAttemptsError
 from .graph import to_jsonl_line
 from .harness import (
     _CONFIG_CONVERTERS,
@@ -250,6 +251,9 @@ def main(argv=None) -> int:
         return 2
     except MaxAttemptsError as exc:
         print(f"no simple graph within the attempt budget: {exc}", file=sys.stderr)
+        return 2
+    except DegwinError as exc:
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
 
 

@@ -3,23 +3,28 @@
 Kept deliberately small: callers mostly want to distinguish "your input can
 never work" (InfeasibleError, DegreeSetError) from "the numerics refused"
 (ConvergenceError, TruncationUnstableError) and from plain bad arguments
-(ValueError subclasses).
+(ValueError subclasses).  Every class here is also a DegwinError, which the
+command line reports in one line with exit code 2.
 """
 
 
-class DegreeSetError(ValueError):
+class DegwinError(Exception):
+    """Base of the package's own errors."""
+
+
+class DegreeSetError(DegwinError, ValueError):
     """A degree-set specification is malformed or violates model requirements."""
 
 
-class TruncationUnstableError(ArithmeticError):
+class TruncationUnstableError(DegwinError, ArithmeticError):
     """A truncated series over an unbounded degree set failed to stabilise."""
 
 
-class NoCriticalPointError(ArithmeticError):
+class NoCriticalPointError(DegwinError, ArithmeticError):
     """The branching ratio never reaches 1 on the positive axis."""
 
 
-class ConvergenceError(ArithmeticError):
+class ConvergenceError(DegwinError, ArithmeticError):
     """An iterative solve or series summation failed to converge."""
 
     def __init__(self, message: str, residual: float | None = None):
@@ -27,17 +32,17 @@ class ConvergenceError(ArithmeticError):
         self.residual = residual
 
 
-class SingularityError(ArithmeticError):
+class SingularityError(DegwinError, ArithmeticError):
     """Evaluation was requested at or beyond a singularity."""
 
 
-class OutOfRangeError(ValueError):
+class OutOfRangeError(DegwinError, ValueError):
     """A requested target value lies outside the attainable range."""
 
 
-class InfeasibleError(RuntimeError):
+class InfeasibleError(DegwinError, RuntimeError):
     """No admissible configuration exists for the requested (degrees, n, m)."""
 
 
-class MaxAttemptsError(RuntimeError):
+class MaxAttemptsError(DegwinError, RuntimeError):
     """Rejection sampling exhausted its attempt budget without a simple graph."""

@@ -415,10 +415,9 @@ def circumference(k: KernelMultigraph) -> int:
 def is_planar(k: KernelMultigraph) -> bool:
     """Planarity of the kernel multigraph.
 
-    Loops get two subdivision points and every other edge one, yielding a
-    simple graph on which planarity is unchanged; an Euler-bound prefilter on
-    the underlying simple graph short-circuits clear rejections before the
-    left-right planarity test runs.
+    Loops and parallel chains never change planarity, so the left-right
+    planarity test runs on the underlying simple graph of the corners, after
+    an Euler-bound prefilter on the same edge set.
     """
     if len(k.vertices) > MAX_KERNEL_VERTICES:
         raise ValueError(
@@ -434,19 +433,7 @@ def is_planar(k: KernelMultigraph) -> bool:
     v0 = len(k.vertices)
     if v0 >= 3 and len(simple_pairs) > 3 * v0 - 6:
         return False
-    gx = nx.Graph()
-    gx.add_nodes_from(k.vertices)
-    for i, e in enumerate(k.edges):
-        if e.u == e.v:
-            a, b = ("m", i, 0), ("m", i, 1)
-            gx.add_edge(e.u, a)
-            gx.add_edge(a, b)
-            gx.add_edge(b, e.v)
-        else:
-            a = ("m", i, 0)
-            gx.add_edge(e.u, a)
-            gx.add_edge(a, e.v)
-    ok, _ = nx.check_planarity(gx, counterexample=False)
+    ok, _ = nx.check_planarity(nx.Graph(simple_pairs), counterexample=False)
     return bool(ok)
 
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from degwin.graph import Graph, components
+from degwin.graph import Graph, KernelMultigraph, components
 
 
 def brute_longest_path(g: Graph, verts) -> int:
@@ -87,6 +87,21 @@ def brute_planar(g: Graph, verts) -> bool:
     G.add_nodes_from(verts)
     G.add_edges_from((u, v) for u, v in g.edges if u in verts and v in verts)
     return nx.check_planarity(G)[0]
+
+
+def subdivided_planar(k: KernelMultigraph) -> bool:
+    """Planarity of a kernel multigraph by the library test on its
+    subdivision: two new vertices on every loop and one on every other edge,
+    which makes it a simple graph with the same planarity."""
+    gx = nx.Graph()
+    gx.add_nodes_from(k.vertices)
+    for i, e in enumerate(k.edges):
+        a, b = ("m", i, 0), ("m", i, 1)
+        if e.u == e.v:
+            nx.add_path(gx, [e.u, a, b, e.v])
+        else:
+            nx.add_path(gx, [e.u, a, e.v])
+    return nx.check_planarity(gx)[0]
 
 
 def complex_vertices(g: Graph) -> set[int]:
@@ -206,6 +221,46 @@ def oracle_window_series(c2: float, c3: float, y: float, mu: float):
         else:
             raise RuntimeError("oracle series did not settle")
         return mp.mpf(c3) ** ((mp.mpf(y) - 2) / 3) / 3 * total
+
+
+def oracle_series_sum(x, y, max_terms: int = 20000):
+    """The window series S(y) = sum_k x^k / (k! Gamma((y+1-2k)/3)) term by
+    term in mpmath, at the caller's working precision.
+
+    The package's mpf loop before its integer kernel, kept as that kernel's
+    reference: the same stopping rule (five terms in a row below 1e-16 of
+    the running sum) and the same ConvergenceError after max_terms terms.
+    Returns (sum, max |term|, index of the last term summed).
+    """
+    import mpmath as mp
+
+    from degwin.errors import ConvergenceError
+
+    s = mp.mpf(0)
+    max_term = mp.mpf(0)
+    below = 0
+    term_scale = mp.mpf(10) ** (-16)
+    coeff = mp.mpf(1)  # x^k / k!, updated incrementally
+    rgam = [None, None, None]  # 1/Gamma of the argument, per residue class of k
+    for k in range(max_terms):
+        a = mp.mpf(y + 1 - 2 * k) / 3
+        if k < 3:
+            rgam[k] = mp.rgamma(a)
+        else:
+            rgam[k % 3] *= (a + 1) * a  # 1/Gamma(a) = (a+1) a / Gamma(a+2)
+        t = coeff * rgam[k % 3]
+        s += t
+        at = abs(t)
+        if at > max_term:
+            max_term = at
+        if s != 0 and at < term_scale * abs(s):
+            below += 1
+            if below >= 5:
+                return s, max_term, k
+        else:
+            below = 0
+        coeff = coeff * x / (k + 1)
+    raise ConvergenceError(f"oracle series did not converge within {max_terms} terms")
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ import mpmath as mp
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degwin import asymptotics
 from degwin.asymptotics import (
     MU_SERIES_LIMIT,
     VARIANTS,
     _bigA_mp,
+    _series_sum,
     _window_sums,
     _window_x,
     bigA_asymptotic,
@@ -29,7 +31,7 @@ from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
 from degwin.errors import ConvergenceError
 
-from oracles import oracle_window_series
+from oracles import oracle_series_sum, oracle_window_series
 
 FAMILIES = ("1,3", "1,2,3", "0,1,4,5", "1,3,5,7")
 
@@ -145,6 +147,66 @@ class TestWindowSeries:
         want = float(oracle_window_series(0.5, 1.0 / 3.0, y, mu))
         assert got > 0
         assert got == pytest.approx(want, rel=1e-10, abs=0)
+
+
+class TestSeriesKernel:
+    """The integer kernel ``_series_sum`` against the mpf term loop it
+    replaced (``oracle_series_sum``): the same sum and largest term as
+    floats, and the same last summed term."""
+
+    @staticmethod
+    def _settled_dps(x, y) -> int:
+        # The precision _window_sums settles on: 25 digits beyond the loss to
+        # cancellation.
+        dps = 40
+        while True:
+            with mp.workdps(dps):
+                s, peak, _ = oracle_series_sum(x, y)
+                lost = float(mp.log10(peak / abs(s)))
+            if lost <= dps - 25:
+                return dps
+            dps = int(lost) + 40
+
+    @pytest.mark.parametrize(
+        "x, y",
+        [
+            (0.0, 0.5),
+            (-6.0, 0.5),  # heavy cancellation
+            (-4.7, 3.5),
+            (6.0, 0.5),
+            (-2.5, 2.0),  # poles: one residue class vanishes
+            (1.5, 5.0),
+            (-4.7, 2.3),  # y not a half-integer
+            (-6.0, 60.5),
+            (2.0, 60.5),
+            (-4.7, 360.5),
+            (1.0, 360.5),
+            ("pow2:64", 0.5),  # the benchmark's slowest series, x = -6.03
+        ],
+    )
+    def test_matches_mpf_loop(self, x, y, monkeypatch):
+        with mp.workdps(40):
+            if isinstance(x, str):
+                cp = _cp(x)
+                x = _window_x(cp.c2, cp.c3, -2.0)
+            x, y = mp.mpf(x), mp.mpf(y)
+        with mp.workdps(self._settled_dps(x, y)):
+            want, want_peak, last = oracle_series_sum(x, y)
+            got, got_peak = _series_sum(x, y)
+            assert float(got) == float(want)
+            assert float(got_peak) == float(want_peak)
+            # The kernel needs exactly last + 1 terms, as the loop did.
+            monkeypatch.setattr(asymptotics, "_MAX_TERMS", last + 1)
+            assert _series_sum(x, y) == (got, got_peak)
+            monkeypatch.setattr(asymptotics, "_MAX_TERMS", last)
+            with pytest.raises(ConvergenceError, match=f"within {last} terms"):
+                _series_sum(x, y)
+
+    def test_term_budget(self, monkeypatch):
+        monkeypatch.setattr(asymptotics, "_MAX_TERMS", 10)
+        with mp.workdps(80):
+            with pytest.raises(ConvergenceError, match="within 10 terms"):
+                _series_sum(mp.mpf(-6), mp.mpf(0.5))
 
 
 class TestWindowRecurrence:

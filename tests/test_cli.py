@@ -115,6 +115,28 @@ class TestPredict:
         assert excinfo.value.code == 2
 
 
+class TestPackageErrors:
+    """The package's own errors end a command with exit code 2 and one
+    line on stderr, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, name, text",
+        [
+            (["threshold", "--degrees", "foo!!"], "DegreeSetError", "unrecognised"),
+            (["predict", "--degrees", "2,4", "--mu", "0"], "DegreeSetError", "contain 1"),
+            (["predict", "--degrees", "1,3", "--mu", "25"], "OutOfRangeError", "|mu| <= 20"),
+            (["predict", "--degrees", "pow2:64", "--mu", "9"], "ConvergenceError", "precision"),
+        ],
+    )
+    def test_one_line_and_exit_2(self, argv, name, text, capsys):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {name}: ")
+        assert text in line
+
+
 class TestSample:
     ARGS = ["sample", "--degrees", "1,3", "--n", "8", "--m", "5", "--seed", "9"]
 

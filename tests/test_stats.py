@@ -3,9 +3,11 @@
 import itertools
 import random
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degwin.degset import parse_degree_set
 from degwin.graph import (
     Graph,
     KernelEdge,
@@ -15,6 +17,7 @@ from degwin.graph import (
     sprout_data,
     two_core,
 )
+from degwin.sampler import build_dp, edges_for_mu, sample_batch, trial_generator
 from degwin.stats import (
     GraphSummary,
     circumference,
@@ -32,6 +35,7 @@ from oracles import (
     complex_vertices,
     random_complex_graph,
     random_simple_graph,
+    subdivided_planar,
 )
 
 
@@ -174,6 +178,42 @@ class TestPlanarity:
         assert len({(e.u, e.v) for e in k.edges}) > 3 * len(k.vertices) - 6
         assert not is_planar(k)
         assert not brute_planar(complete_graph(6), range(1, 7))
+
+    def test_simple_graph_agrees_with_subdivision_on_pairings(self):
+        # Connected random cubic pairings on 2q points, loops and parallel
+        # edges kept: the kernels of the window.
+        rng = random.Random(20261019)
+        seen = {"loops": 0, "nonplanar": 0}
+        for _ in range(300):
+            q = rng.randint(3, 12)
+            points = [v for v in range(1, 2 * q + 1) for _ in range(3)]
+            rng.shuffle(points)
+            pairs = sorted(
+                (min(u, v), max(u, v)) for u, v in zip(points[::2], points[1::2])
+            )
+            if not nx.is_connected(nx.MultiGraph(pairs)):
+                continue
+            k = KernelMultigraph(
+                vertices=tuple(range(1, 2 * q + 1)),
+                edges=tuple(KernelEdge(u, v, 1, ()) for u, v in pairs),
+            )
+            want = subdivided_planar(k)
+            assert is_planar(k) == want, pairs
+            seen["loops"] += any(u == v for u, v in pairs)
+            seen["nonplanar"] += not want
+        assert seen["loops"] >= 50 and seen["nonplanar"] >= 50, seen
+
+    def test_simple_graph_agrees_with_subdivision_on_samples(self):
+        ds = parse_degree_set("1,3,5,7")
+        kernels = []
+        for mu in (0.0, 2.0):
+            m, _ = edges_for_mu(ds, 1000, mu)
+            dp = build_dp(ds, 1000, 2 * m)
+            graphs, _ = sample_batch(ds, dp, [trial_generator(9, t) for t in range(12)])
+            kernels += [k for g in graphs for k in kernels_of(g)]
+        assert sum(not subdivided_planar(k) for k in kernels) >= 3
+        for k in kernels:
+            assert is_planar(k) == subdivided_planar(k)
 
     def test_vertex_guard(self):
         big = KernelMultigraph(
