@@ -77,7 +77,7 @@ from fractions import Fraction
 
 import mpmath as mp
 
-from .critical import CriticalPoint, ER_CRITICAL_POINT
+from .critical import CriticalPoint
 from .errors import ConvergenceError, OutOfRangeError
 
 MU_SERIES_LIMIT = 20.0
@@ -394,7 +394,7 @@ def predict(
     """
     _check_args(0.5, mu)
     if q_max < 4:
-        raise ValueError(f"q_max must be >= 4, got {q_max}")
+        raise OutOfRangeError(f"q_max must be >= 4, got {q_max}")
     with mp.workdps(_BASE_DPS):
         t3sq = mp.mpf(cp.t3) ** 2
         window = _bigA_mp(cp, _excess_y(0), mu, variant, q_max + 1, step=3)

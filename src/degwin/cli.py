@@ -19,7 +19,7 @@ import sys
 from .asymptotics import predict, twopath_constants
 from .critical import critical_point
 from .degset import parse_degree_set
-from .errors import DegwinError, InfeasibleError, MaxAttemptsError
+from .errors import DegwinError, InfeasibleError, MaxAttemptsError, OutOfRangeError
 from .graph import to_jsonl_line
 from .harness import (
     _CONFIG_CONVERTERS,
@@ -161,6 +161,8 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_sample(args) -> int:
+    if args.count < 0:
+        raise OutOfRangeError(f"count must be >= 0, got {args.count}")
     ds = parse_degree_set(args.degrees)
     if args.m is not None:
         m = args.m

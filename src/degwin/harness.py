@@ -31,7 +31,7 @@ from scipy.special import chdtrc
 from .asymptotics import PLANAR_Q_MAX, predict
 from .critical import CriticalPoint, critical_point
 from .degset import DegreeSet, parse_degree_set
-from .errors import InfeasibleError, MaxAttemptsError
+from .errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from .sampler import (
     DEFAULT_MAX_ATTEMPTS,
     DPTable,
@@ -82,11 +82,13 @@ class ExperimentConfig:
             self, "n", (self.n,) if isinstance(self.n, int) else tuple(self.n)
         )
         if not self.n or min(self.n) < 1 or len(set(self.n)) < len(self.n):
-            raise ValueError(f"n must be one or more distinct sizes >= 1, got {self.n}")
+            raise OutOfRangeError(
+                f"n must be one or more distinct sizes >= 1, got {self.n}"
+            )
         if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+            raise OutOfRangeError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
-            raise ValueError(f"jobs must be >= 1, got {self.jobs}")
+            raise OutOfRangeError(f"jobs must be >= 1, got {self.jobs}")
         if self.mus and self.ms:
             raise ValueError("give a mu-list or an m-list, not both")
         if not self.mus and not self.ms:

@@ -71,9 +71,9 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
     grounds.
     """
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
     if two_m < 0:
-        raise ValueError(f"two_m must be >= 0, got {two_m}")
+        raise OutOfRangeError(f"two_m must be >= 0, got {two_m}")
     if two_m > n * ds.max_degree:
         raise InfeasibleError(
             f"two_m = {two_m} exceeds n*max(D) = {n * ds.max_degree}"
@@ -348,6 +348,8 @@ def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:
     larger m) with a warning.  Returns (m, realized_mu) where realized_mu is
     recomputed from the returned m.
     """
+    if n < 1:
+        raise OutOfRangeError(f"n must be >= 1, got {n}")
     cp = critical_point(ds)
     scale = float(n) ** (1.0 / 3.0)
     base = round(cp.alpha * n * (1.0 + mu / scale))

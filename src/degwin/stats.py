@@ -5,11 +5,15 @@ BFS passes ordered by level from a central vertex).  Longest path and
 circumference are exact but computed on the kernel: a simple path in a
 complex component decomposes into fully traversed kernel chains between
 distinct corners plus end extensions (deepest sprouting tree at a terminal
-corner, or a partial entry into an unused incident chain, gaining position +
-tree bonus), with two extra families — both endpoints inside one chain, and
-paths confined to a single sprouting tree.  Cycles are kernel cycles with no
-tree bonuses.  Planarity is decided on the kernel alone: the graph is planar
-iff all complex components' kernels are.
+corner, a partial entry into an unused incident chain, gaining position +
+tree bonus, or a double entry into one chain from both of its ends), with
+two extra families — both endpoints interior to one chain, scanned once per
+chain, and paths confined to the sprouting trees of one vertex.  In-chain
+pairs that touch a corner, and a loop's wrap-around pairs, are kernel paths
+of zero chains or one chain and are left to the kernel-path search.  Cycles
+are kernel cycles with no tree bonuses.  Planarity is decided on the kernel
+alone, at any size: the graph is planar iff all complex components' kernels
+are.
 
 All lengths are counted in edges.
 """
@@ -37,7 +41,6 @@ from .graph import (
 )
 
 MAX_KERNEL_EXCESS = 12
-MAX_KERNEL_VERTICES = 5000
 
 
 @dataclass(frozen=True)
@@ -171,19 +174,6 @@ def _component_diameter(a, members: np.ndarray) -> int:
     return lower
 
 
-def _edge_tables(k: KernelMultigraph):
-    """Per-edge position/tree tables used by the exact path scorer."""
-    h1 = k.tree_height
-    tables = []
-    for e in k.edges:
-        verts = (e.u,) + e.interior + (e.v,)
-        if len(verts) != e.length + 1:
-            raise ValueError(f"kernel edge interior inconsistent with length: {e}")
-        t = [h1.get(x, 0) for x in verts]
-        tables.append((e, verts, t))
-    return tables
-
-
 def _kernel_index(k: KernelMultigraph):
     """The index both exhaustive kernel searches walk.
 
@@ -214,76 +204,44 @@ def _kernel_index(k: KernelMultigraph):
     return corners, cidx, adj, prefix
 
 
-def _partial_entry(t: Sequence[int], length: int, from_u: bool) -> int | None:
-    """Best gain from entering a chain part-way: max position + tree bonus."""
-    if length < 2:
-        return None
-    best = None
-    for p in range(1, length):
-        gain = (p if from_u else length - p) + t[p]
-        if best is None or gain > best:
-            best = gain
-    return best
-
-
-def _double_entry(t: Sequence[int], length: int) -> int | None:
-    """Best combined gain entering one chain from both of its ends at
-    disjoint interior positions i < j."""
-    if length < 3:
-        return None
-    best = None
-    prefix = None  # max over i < j of (i + t[i]), interior only
-    for j in range(2, length):
-        cand_i = (j - 1) + t[j - 1]
-        prefix = cand_i if prefix is None else max(prefix, cand_i)
-        gain = prefix + (length - j) + t[j]
-        if best is None or gain > best:
-            best = gain
-    return best
+def _pair_max(a: Sequence[int], b: Sequence[int]) -> int | None:
+    """max over i < j of a[i] + b[j], or None for fewer than two entries."""
+    return max((x + y for x, y in zip(accumulate(a[:-1], max), b[1:])), default=None)
 
 
 def longest_path(k: KernelMultigraph) -> int:
     """Exact longest simple path (in edges) of one complex component."""
     corners, cidx, adj, prefix = _kernel_index(k)
-    tables = _edge_tables(k)
     h1 = k.tree_height
     h2 = k.tree_height2
-    best = 0
-    # Paths confined to a single sprouting tree.
-    if k.tree_diameter_bonus:
-        best = max(best, max(k.tree_diameter_bonus.values()))
-    # Both endpoints inside (or at the ends of) a single chain.
-    for e, verts, t in tables:
+    # Paths confined to the sprouting trees of one 2-core vertex.
+    best = max(k.tree_diameter_bonus.values(), default=0)
+    best = max(best, max((h + h2.get(x, 0) for x, h in h1.items()), default=0))
+    # Per chain, with t the tree heights along it and positions 0..L:
+    # up[i] = t[i] + i and down[i] = t[i] + L - i are the gains of entering
+    # the chain from u or from v and ending at i; back[i] + up[j] =
+    # t[i] + (j - i) + t[j].  Only interior positions are scanned.  A pair
+    # with an end at a corner is a kernel path of no chain, or of the whole
+    # chain, with end options at its corners (tree h1, partial entry pe, or
+    # dd for a loop's two sides), which the search below closes at L = 0 or
+    # after one chain; each such option is at most max_end_single, so the
+    # cap_pair pruning never hides it.  A loop's wrap-around pairs are dd
+    # (both ends interior) or h1(corner) + pe (one end at the corner).
+    pe: list[tuple[int | None, int | None]] = []
+    dd: list[int | None] = []
+    for e in k.edges:
         L = e.length
-        is_loop = e.u == e.v
-        for x in verts:
-            best = max(best, h1.get(x, 0) + h2.get(x, 0))
-        # direct: i < j along the chain, gain t[i] + (j - i) + t[j]
-        pref_all = t[0] - 0
-        pref_in = None  # excluding i = 0
-        for j in range(1, L + 1):
-            if is_loop and j == L:
-                if pref_in is not None:
-                    best = max(best, t[j] + j + pref_in)
-            else:
-                best = max(best, t[j] + j + pref_all)
-            cand = t[j] - j
-            pref_all = max(pref_all, cand)
-            pref_in = cand if pref_in is None else max(pref_in, cand)
-        if is_loop:
-            # wrap-around: v_i -> corner -> v_j the other way, gain
-            # (t[i] + i) + (L - j + t[j]), (i, j) != (0, L)
-            pref_all = t[0] + 0
-            pref_in = None
-            for j in range(1, L + 1):
-                if j == L:
-                    if pref_in is not None:
-                        best = max(best, pref_in + (L - j) + t[j])
-                else:
-                    best = max(best, pref_all + (L - j) + t[j])
-                cand = t[j] + j
-                pref_all = max(pref_all, cand)
-                pref_in = cand if pref_in is None else max(pref_in, cand)
+        if len(e.interior) != L - 1:
+            raise ValueError(f"kernel edge interior inconsistent with length: {e}")
+        t = [h1.get(x, 0) for x in (e.u,) + e.interior + (e.v,)]
+        up = [t[i] + i for i in range(1, L)]
+        down = [t[i] + L - i for i in range(1, L)]
+        back = [t[i] - i for i in range(1, L)]
+        inner = _pair_max(back, up)
+        if inner is not None and inner > best:
+            best = inner
+        pe.append((max(up, default=None), max(down, default=None)))
+        dd.append(_pair_max(up, down))
     # Kernel-path family: fully traversed chains between distinct corners
     # plus end extensions.  Exhaustive over kernel simple paths, with two
     # exact prunings: each path is closed only from its smaller-index end,
@@ -293,14 +251,6 @@ def longest_path(k: KernelMultigraph) -> int:
     # traverses a loop; loop entries are end bonuses).
     vcount = len(corners)
     n_nonloop = len(prefix) - 1
-    pe = [
-        (
-            _partial_entry(t, e.length, True),
-            _partial_entry(t, e.length, False),
-        )
-        for e, verts, t in tables
-    ]
-    dd = [_double_entry(t, e.length) for e, verts, t in tables]
     incident_halves: list[list[tuple[int, int]]] = [[] for _ in range(vcount)]
     chords: dict[tuple[int, int], list[int]] = {}
     is_loop_edge = [e.u == e.v for e in k.edges]
@@ -419,11 +369,6 @@ def is_planar(k: KernelMultigraph) -> bool:
     planarity test runs on the underlying simple graph of the corners, after
     an Euler-bound prefilter on the same edge set.
     """
-    if len(k.vertices) > MAX_KERNEL_VERTICES:
-        raise ValueError(
-            f"kernel has {len(k.vertices)} vertices, beyond the planarity "
-            f"guard {MAX_KERNEL_VERTICES}"
-        )
     if k.excess <= 2:
         # A non-planar graph contains a subdivided K3,3 or K5 (excess 3 and
         # 5); a kernel is connected, and a connected graph has at least the

@@ -106,13 +106,17 @@ class TestPredict:
         assert "--variant" in capsys.readouterr().err
 
     def test_qmax_flag_reaches_prediction(self, capsys):
-        with pytest.raises(ValueError, match="q_max"):
-            main(["predict", "--degrees", "1,3", "--mu", "0", "--qmax", "3"])
+        assert main(["predict", "--degrees", "1,3", "--mu", "0", "--qmax", "3"]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert "q_max" in line
 
     def test_missing_mu_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["predict", "--degrees", "1,3"])
         assert excinfo.value.code == 2
+
+
+_EXPERIMENT = ["--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "1"]
 
 
 class TestPackageErrors:
@@ -126,6 +130,15 @@ class TestPackageErrors:
             (["predict", "--degrees", "2,4", "--mu", "0"], "DegreeSetError", "contain 1"),
             (["predict", "--degrees", "1,3", "--mu", "25"], "OutOfRangeError", "|mu| <= 20"),
             (["predict", "--degrees", "pow2:64", "--mu", "9"], "ConvergenceError", "precision"),
+            (["predict", "--degrees", "1,3", "--mu", "0", "--qmax", "3"], "OutOfRangeError", "q_max"),
+            (["sample", "--degrees", "1,3", "--n", "-5", "--m", "2", "--seed", "1"], "OutOfRangeError", "n must"),
+            (["sample", "--degrees", "1,3", "--n", "8", "--m", "-2", "--seed", "1"], "OutOfRangeError", "two_m"),
+            (["sample", "--degrees", "1,3", "--n", "-5", "--mu", "0", "--seed", "1"], "OutOfRangeError", "n must"),
+            (["sample", "--degrees", "1,3", "--n", "0", "--mu", "0", "--seed", "1"], "OutOfRangeError", "n must"),
+            (["sample", "--degrees", "1,3", "--n", "8", "--m", "5", "--seed", "1", "--count", "-1"], "OutOfRangeError", "count"),
+            (["experiment", *_EXPERIMENT, "--trials", "0"], "OutOfRangeError", "trials"),
+            (["experiment", *_EXPERIMENT, "--jobs", "0"], "OutOfRangeError", "jobs"),
+            (["experiment", "--degrees", "1,3", "--n", "0", "--m", "3", "--seed", "1"], "OutOfRangeError", "n must"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):

@@ -150,6 +150,20 @@ class TestKernelLengths:
         assert circumference(k) == circ
         assert is_planar(k) == planar
 
+    def test_loop_entered_from_both_sides(self):
+        # Three cycles through vertex 1, with trees of height 2 at the
+        # adjacent vertices 3 and 4 of the 5-cycle 1-2-3-4-5: the longest
+        # path 13-11-3-2-1-5-4-10-12 enters that loop from both of its ends.
+        g = Graph(
+            13,
+            [(1, 2), (1, 5), (1, 6), (1, 7), (1, 8), (1, 9), (2, 3), (3, 4),
+             (3, 11), (4, 5), (4, 10), (6, 7), (8, 9), (10, 12), (11, 13)],
+        )
+        (k,) = kernels_of(g)
+        assert k.vertices == (1,)
+        assert longest_path(k) == brute_longest_path(g, range(1, 14)) == 8
+        assert circumference(k) == brute_circumference(g, range(1, 14)) == 5
+
     def test_excess_guard(self):
         (k,) = kernels_of(complete_graph(10))
         assert k.excess == 35
@@ -215,13 +229,20 @@ class TestPlanarity:
         for k in kernels:
             assert is_planar(k) == subdivided_planar(k)
 
-    def test_vertex_guard(self):
-        big = KernelMultigraph(
-            vertices=tuple(range(1, 5002)),
-            edges=(),
+    def test_large_prism_kernel(self):
+        # The prism C_2501 x K_2 (5002 corners, length-1 chains) is planar;
+        # a K5 on five of its corners makes it non-planar.
+        r = 2501
+        edges = [KernelEdge(i, i % r + 1, 1, ()) for i in range(1, r + 1)]
+        edges += [KernelEdge(i + r, i % r + 1 + r, 1, ()) for i in range(1, r + 1)]
+        edges += [KernelEdge(i, i + r, 1, ()) for i in range(1, r + 1)]
+        prism = KernelMultigraph(vertices=tuple(range(1, 2 * r + 1)), edges=tuple(edges))
+        assert is_planar(prism)
+        k5 = [KernelEdge(u, v, 1, ()) for u, v in itertools.combinations((1, 3, 5, 7, 9), 2)]
+        assert len(k5) == 10
+        assert not is_planar(
+            KernelMultigraph(vertices=prism.vertices, edges=prism.edges + tuple(k5))
         )
-        with pytest.raises(ValueError, match="guard"):
-            is_planar(big)
 
 
 class TestSummarize:
