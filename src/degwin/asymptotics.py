@@ -444,10 +444,13 @@ class TwoPathConstants:
 
 
 def twopath_constants(cp: CriticalPoint, mu: float, q: int = 1) -> TwoPathConstants:
-    """Longest-2-path constants B1, B2 at excess q from bigB ratios."""
+    """Longest-2-path constants B1, B2 at excess q >= 1 from bigB ratios.
+
+    An excess-0 point has no kernel and so no chains: q = 0 is refused.
+    """
     _check_args(0.5, mu)
-    if q < 0:
-        raise ValueError(f"q must be >= 0, got {q}")
+    if q < 1:
+        raise OutOfRangeError(f"q must be >= 1, got {q}")
     y = _excess_y(q)
     b_lo, b_mid, b_hi = _bigB_mp(cp.c2, cp.c3, y, mu, 3)
     if b_lo == 0:
@@ -457,19 +460,11 @@ def twopath_constants(cp: CriticalPoint, mu: float, q: int = 1) -> TwoPathConsta
     # moment of the 2-path length carries a factor 2, so
     # Var ~ n^{2/3} t3^2 (2 B(y+2)/B(y) - (B(y+1)/B(y))^2).
     b2sq = (2 * b_hi * b_lo - b_mid**2) / b_lo**2
-    second = b_hi / b_lo
-    if b2sq < 0:
-        if b2sq > -mp.mpf("1e-18") * abs(second):
-            b2sq = mp.mpf(0)
-        else:
-            raise ArithmeticError(
-                f"negative variance constant {float(b2sq)} at mu = {mu}, q = {q}"
-            )
     return TwoPathConstants(
         b1=float(b1),
         b2=float(mp.sqrt(b2sq)),
         b2_squared=float(b2sq),
-        second_moment=float(second),
+        second_moment=float(b_hi / b_lo),
     )
 
 

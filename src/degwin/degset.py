@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import DegreeSetError, TruncationUnstableError
 
@@ -192,10 +191,14 @@ def _power_arrays(degrees: tuple[int, ...], order: int):
     ps = np.array([d - order for d in degrees if d >= order], dtype=np.int64)
     if ps.size == 0:
         return ps, np.empty(0)
-    # log p! via gammaln keeps the large-p path overflow-free.
-    logfact = gammaln(ps.astype(np.float64) + 1.0)
     small = ps <= _DIRECT_POWER_LIMIT
     fact_small = np.array([math.factorial(int(p)) for p in ps[small]], dtype=np.float64)
+    logfact = None
+    if not small.all():
+        from scipy.special import gammaln
+
+        # log p! via gammaln keeps the large-p path overflow-free.
+        logfact = gammaln(ps.astype(np.float64) + 1.0)
     return ps, (small, fact_small, logfact)
 
 

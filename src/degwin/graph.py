@@ -25,11 +25,9 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 
 class Graph:
@@ -138,6 +136,9 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     ``labels[v]`` for v in 1..n (entry 0 is unused); labels number the
     components in order of their smallest vertex.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     u, v = g.u, g.v
     a = csr_matrix(
         (np.ones(u.size, dtype=np.int8), (u - 1, v - 1)), shape=(g.n, g.n)
@@ -390,18 +391,3 @@ def from_jsonl_line(line: str) -> Graph:
     """Parse one JSONL line back into a Graph."""
     obj = json.loads(line)
     return Graph(int(obj["n"]), [(int(u), int(v)) for u, v in obj["edges"]])
-
-
-def write_jsonl(path: str, graphs: Iterable[Graph]) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in graphs:
-            fh.write(to_jsonl_line(g))
-            fh.write("\n")
-
-
-def read_jsonl(path: str) -> Iterator[Graph]:
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield from_jsonl_line(line)

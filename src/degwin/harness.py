@@ -26,7 +26,6 @@ from pathlib import Path
 from typing import get_type_hints
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .asymptotics import PLANAR_Q_MAX, predict
 from .critical import CriticalPoint, critical_point
@@ -77,7 +76,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if not self.degrees:
-            raise ValueError("degrees specification must be non-empty")
+            raise OutOfRangeError("degrees specification must be non-empty")
         object.__setattr__(
             self, "n", (self.n,) if isinstance(self.n, int) else tuple(self.n)
         )
@@ -90,7 +89,7 @@ class ExperimentConfig:
         if self.jobs < 1:
             raise OutOfRangeError(f"jobs must be >= 1, got {self.jobs}")
         if self.mus and self.ms:
-            raise ValueError("give a mu-list or an m-list, not both")
+            raise OutOfRangeError("give a mu-list or an m-list, not both")
         if not self.mus and not self.ms:
             object.__setattr__(self, "mus", (0.0,))
 
@@ -123,10 +122,10 @@ def load_config_file(path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+            raise OutOfRangeError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_CONVERTERS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
+            raise OutOfRangeError(f"{path}:{lineno}: unknown key {key!r}")
         out[key] = value
     return out
 
@@ -136,7 +135,7 @@ def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
     kwargs = {}
     for key, value in mapping.items():
         if key not in _CONFIG_CONVERTERS:
-            raise ValueError(f"unknown config key {key!r}")
+            raise OutOfRangeError(f"unknown config key {key!r}")
         if isinstance(value, str):
             value = _CONFIG_CONVERTERS[key](value)
         kwargs[_CONFIG_FIELDS.get(key, key)] = value
@@ -462,6 +461,8 @@ def chi2_pvalue(observed, expected=None) -> float:
     """Pearson chi-square p-value of observed counts against expected ones
     (uniform over the cells when ``expected`` is None), with k - 1 degrees
     of freedom for k cells."""
+    from scipy.special import chdtrc
+
     observed = np.asarray(observed, dtype=float)
     if expected is None:
         expected = np.full(observed.shape, observed.mean())

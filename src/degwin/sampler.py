@@ -29,7 +29,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln
 
 from .critical import critical_point
 from .degset import DegreeSet, check_condition_C, periodicity
@@ -98,6 +97,8 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
 
 
 def _degree_arrays(ds: DegreeSet, two_m: int):
+    from scipy.special import gammaln
+
     degs = np.array([d for d in ds.degrees if d <= two_m], dtype=np.int64)
     return degs, gammaln(degs + 1.0)
 
@@ -295,6 +296,8 @@ def trial_generator(
     Streams for distinct (point, trial) pairs are statistically independent,
     so trials can run in any order or thread layout without changing results.
     """
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(point_index, trial_index))
     )

@@ -25,10 +25,6 @@ from itertools import accumulate
 from typing import Iterable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import breadth_first_order, connected_components
-
-import networkx as nx
 
 from .graph import (
     Component,
@@ -111,6 +107,9 @@ def diameter(g: Graph, vertices: Iterable[int]) -> int:
     beat it.  The result equals the all-pairs maximum; on the tree-like
     complex part it needs only a handful of BFS passes.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     verts = np.array(sorted(set(vertices)), dtype=np.int64)
     if not verts.size:
         return -1
@@ -134,6 +133,8 @@ def diameter(g: Graph, vertices: Iterable[int]) -> int:
 
 def _bfs(a, source: int) -> tuple[list[int], np.ndarray]:
     """BFS order from ``source`` and the BFS-tree parent of each vertex."""
+    from scipy.sparse.csgraph import breadth_first_order
+
     order, parent = breadth_first_order(
         a, source, directed=True, return_predecessors=True
     )
@@ -378,6 +379,8 @@ def is_planar(k: KernelMultigraph) -> bool:
     v0 = len(k.vertices)
     if v0 >= 3 and len(simple_pairs) > 3 * v0 - 6:
         return False
+    import networkx as nx
+
     ok, _ = nx.check_planarity(nx.Graph(simple_pairs), counterexample=False)
     return bool(ok)
 

@@ -16,7 +16,7 @@ from fractions import Fraction
 
 import networkx as nx
 
-from degwin.graph import Graph, KernelMultigraph, components
+from degwin.graph import Graph, KernelMultigraph, components, from_jsonl_line, to_jsonl_line
 
 
 def brute_longest_path(g: Graph, verts) -> int:
@@ -126,6 +126,23 @@ def random_complex_graph(rng: random.Random, n_lo: int = 4, n_hi: int = 12) -> G
         g = random_simple_graph(rng, n, m)
         if complex_vertices(g):
             return g
+
+
+def write_jsonl(path: str, graphs) -> None:
+    """One graph per line in the package's JSONL wire format."""
+    with open(path, "w", encoding="utf-8") as fh:
+        for g in graphs:
+            fh.write(to_jsonl_line(g))
+            fh.write("\n")
+
+
+def read_jsonl(path: str):
+    """The graphs of a JSONL file, skipping blank lines."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield from_jsonl_line(line)
 
 
 def enumerate_sequences(degrees, n: int):

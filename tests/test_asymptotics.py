@@ -29,7 +29,7 @@ from degwin.asymptotics import (
 )
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
-from degwin.errors import ConvergenceError
+from degwin.errors import ConvergenceError, OutOfRangeError
 
 from oracles import oracle_series_sum, oracle_window_series
 
@@ -399,7 +399,7 @@ class TestPredictions:
 
 class TestTwoPath:
     @pytest.mark.parametrize("spec", ["1,3", "all:60"])
-    @pytest.mark.parametrize("q", [0, 1])
+    @pytest.mark.parametrize("q", [1, 2])
     def test_centre_closed_form(self, spec, q):
         # b1 = B(y+1, 0) / B(y, 0) collapses to a Gamma ratio at mu = 0.
         cp = _cp(spec)
@@ -415,7 +415,9 @@ class TestTwoPath:
     def test_variance_constant_nonnegative(self, spec):
         cp = _cp(spec)
         for mu in (-2.0, -1.0, 0.0, 1.0, 2.0):
-            for q in (0, 1, 2, 3):
+            with pytest.raises(OutOfRangeError, match="q must be >= 1"):
+                twopath_constants(cp, mu, 0)
+            for q in (1, 2, 3):
                 tc = twopath_constants(cp, mu, q)
                 assert tc.b1 > 0
                 assert tc.b2_squared >= 0

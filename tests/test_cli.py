@@ -119,6 +119,15 @@ class TestPredict:
 _EXPERIMENT = ["--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "1"]
 
 
+def _assert_error_line(argv, name, text, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith(f"error: {name}: ")
+    assert text in line
+
+
 class TestPackageErrors:
     """The package's own errors end a command with exit code 2 and one
     line on stderr, not a traceback."""
@@ -139,15 +148,22 @@ class TestPackageErrors:
             (["experiment", *_EXPERIMENT, "--trials", "0"], "OutOfRangeError", "trials"),
             (["experiment", *_EXPERIMENT, "--jobs", "0"], "OutOfRangeError", "jobs"),
             (["experiment", "--degrees", "1,3", "--n", "0", "--m", "3", "--seed", "1"], "OutOfRangeError", "n must"),
+            (["experiment", "--degrees", "1,3", "--n", "8", "--mu", "0", "--m", "5", "--seed", "1"], "OutOfRangeError", "not both"),
+            (["sample", "--degrees", "1,3", "--n", "8", "--m", "5", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
+            (["experiment", "--degrees", "1,3", "--n", "8", "--m", "5", "--trials", "2", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
-        assert main(argv) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        (line,) = captured.err.splitlines()
-        assert line.startswith(f"error: {name}: ")
-        assert text in line
+        _assert_error_line(argv, name, text, capsys)
+
+    @pytest.mark.parametrize(
+        "config, text",
+        [("bogus line\n", "expected key=value"), ("degrees = 1,3\nbogus = 1\n", "unknown key")],
+    )
+    def test_config_file_errors(self, config, text, tmp_path, capsys):
+        path = tmp_path / "sweep.cfg"
+        path.write_text(config, encoding="utf-8")
+        _assert_error_line(["experiment", "--config", str(path)], "OutOfRangeError", text, capsys)
 
 
 class TestSample:

@@ -13,14 +13,12 @@ from degwin.graph import (
     components,
     from_jsonl_line,
     kernel,
-    read_jsonl,
     sprout_data,
     to_jsonl_line,
     two_core,
-    write_jsonl,
 )
 
-from oracles import random_complex_graph, random_simple_graph
+from oracles import random_complex_graph, random_simple_graph, read_jsonl, write_jsonl
 
 
 def theta_graph(lengths=(2, 2, 2)) -> Graph:
