@@ -124,8 +124,16 @@ def _phi_root(ds: DegreeSet, k: int, target: float, error: type[Exception]) -> f
     return z
 
 
-def _solve(ds: DegreeSet) -> CriticalPoint:
-    """The uncached solve behind ``critical_point``."""
+@lru_cache(maxsize=128)
+def critical_point(ds: DegreeSet) -> CriticalPoint:
+    """Solve phi1(zhat) = 1 over the finite set ``ds.degrees`` and assemble
+    the window constants.
+
+    Bracketing by doubling/halving, 80 bisection steps, then a short Newton
+    polish.  Deterministic: same inputs give bitwise-identical results.
+    Results are cached per degree set; ``critical_point.cache_clear()``
+    empties the cache and ``critical_point.__wrapped__`` is the uncached solve.
+    """
     zhat = _phi_root(ds, 1, 1.0, NoCriticalPointError)
     alpha = phi0(ds, zhat) / 2.0
     w1 = egf_eval(ds, zhat, 1)
@@ -135,28 +143,6 @@ def _solve(ds: DegreeSet) -> CriticalPoint:
     c3 = 2.0 * t3 * alpha * zhat / 3.0
     rho = zhat / w1
     return CriticalPoint(zhat=zhat, alpha=alpha, t3=t3, c2=c2, c3=c3, rho=rho)
-
-
-@lru_cache(maxsize=128)
-def _cached_solve(ds: DegreeSet, predicate) -> CriticalPoint:
-    return _solve(ds)
-
-
-def critical_point(ds: DegreeSet) -> CriticalPoint:
-    """Solve phi1(zhat) = 1 and assemble the window constants.
-
-    Bracketing by doubling/halving, 80 bisection steps, then a short Newton
-    polish.  Deterministic: same inputs give bitwise-identical results.
-    Results are cached per degree set and predicate object: two custom sets
-    that agree up to their bound compare equal, yet their widened tails (and
-    so their solutions) can differ.  ``critical_point.cache_clear()`` empties
-    the cache and ``critical_point.__wrapped__`` is the uncached solve.
-    """
-    return _cached_solve(ds, ds.predicate)
-
-
-critical_point.cache_clear = _cached_solve.cache_clear
-critical_point.__wrapped__ = _solve
 
 
 def tree_T(ds: DegreeSet, ell: int, z: float) -> float:

@@ -1,11 +1,11 @@
 """Degree sets and their exponential generating function.
 
-A degree set D is a finite or unbounded set of allowed vertex degrees.  The
-model requires 1 in D (pendant vertices exist) and max(D) >= 3 (otherwise the
-branching ratio never reaches 1 and there is no critical point).  Unbounded
-sets given by a rule ("all", "even", "pow2", or a custom predicate) are
-materialised up to a truncation bound; every evaluation re-checks stability by
-doubling the bound until the value stops moving.
+A degree set D is a finite set of allowed vertex degrees.  The model requires
+1 in D (pendant vertices exist) and max(D) >= 3 (otherwise the branching ratio
+never reaches 1 and there is no critical point).  A rule ("all", "pow2") with
+a bound names the finite set of the degrees up to that bound that follow the
+rule: "pow2:64" is {1, 2, 4, ..., 64}.  The thresholds, the tree series and
+the sampler all use that one finite set.
 
 The generating function here is the degree EGF
 
@@ -24,43 +24,37 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
 
 import numpy as np
 
-from .errors import DegreeSetError, TruncationUnstableError
+from .errors import DegreeSetError
 
 DEFAULT_BOUND = 60
 # Largest exponent for which z**p / p! is computed directly in floats; above
 # this we go through exp(p log z - lgamma(p+1)) to dodge overflow.
 _DIRECT_POWER_LIMIT = 150
-_STABILITY_RTOL = 1e-12
-_MAX_DOUBLINGS = 6
 
 _RULES: dict[str, Callable[[int], bool]] = {
     "all": lambda d: True,
-    "even": lambda d: d % 2 == 0,
     "pow2": lambda d: d >= 1 and (d & (d - 1)) == 0,
 }
 
 
 @dataclass(frozen=True)
 class DegreeSet:
-    """An immutable, validated set of allowed degrees.
+    """An immutable, validated, finite set of allowed degrees.
 
-    ``degrees`` is the sorted materialised tuple.  ``rule``/``predicate`` and
-    ``bound`` are kept for unbounded sets so evaluations can extend the
-    truncation on demand; explicit sets have rule None and never extend.
+    ``degrees`` is the sorted tuple that every computation reads.  A set
+    built from a rule keeps ``rule`` and ``bound`` only so that ``str`` spells
+    it as it was given (``pow2:64``); explicit sets have rule None.
     """
 
     degrees: tuple[int, ...]
     rule: str | None = None
     bound: int | None = None
-    predicate: Callable[[int], bool] | None = field(
-        default=None, compare=False, repr=False
-    )
 
     def __post_init__(self):
         degs = self.degrees
@@ -88,44 +82,13 @@ class DegreeSet:
 
     @classmethod
     def from_rule(cls, rule: str, bound: int = DEFAULT_BOUND) -> "DegreeSet":
+        """The degrees 0..bound that satisfy the rule."""
         if rule not in _RULES:
             raise DegreeSetError(
                 f"unknown degree rule {rule!r}; known rules: {sorted(_RULES)}"
             )
-        degs = _materialize(_RULES[rule], bound)
-        return cls(degs, rule=rule, bound=bound)
-
-    @classmethod
-    def from_predicate(
-        cls, predicate: Callable[[int], bool], bound: int = DEFAULT_BOUND
-    ) -> "DegreeSet":
-        degs = _materialize(predicate, bound)
-        return cls(degs, rule="custom", bound=bound, predicate=predicate)
-
-    def with_bound(self, bound: int) -> "DegreeSet":
-        """Re-materialise an unbounded set at a new truncation bound.
-
-        Explicit sets are returned unchanged (they have no tail to extend).
-        """
-        if self.rule is None:
-            return self
-        return DegreeSet(
-            self.widened_degrees(bound),
-            rule=self.rule,
-            bound=bound,
-            predicate=self.predicate,
-        )
-
-    def widened_degrees(self, bound: int) -> tuple[int, ...]:
-        """The degrees materialised at another truncation bound.
-
-        The tuple is cached per (predicate object, bound), so two custom
-        sets never share a widening; explicit sets return their own degrees.
-        """
-        if self.rule is None:
-            return self.degrees
-        pred = self.predicate if self.predicate is not None else _RULES[self.rule]
-        return _materialize(pred, bound)
+        keep = _RULES[rule]
+        return cls(tuple(d for d in range(bound + 1) if keep(d)), rule=rule, bound=bound)
 
     @property
     def min_degree(self) -> int:
@@ -141,13 +104,6 @@ class DegreeSet:
         return ",".join(str(d) for d in self.degrees)
 
 
-@lru_cache(maxsize=256)
-def _materialize(predicate: Callable[[int], bool], bound: int) -> tuple[int, ...]:
-    if bound < 1:
-        raise DegreeSetError(f"truncation bound must be >= 1, got {bound}")
-    return tuple(d for d in range(bound + 1) if predicate(d))
-
-
 _RANGE_RE = re.compile(r"^\s*(\d+)\s*\.\.\s*(\d+)\s*$")
 _RULE_RE = re.compile(r"^\s*([A-Za-z][A-Za-z0-9_-]*)\s*(?::\s*(\d+)\s*)?$")
 
@@ -158,8 +114,8 @@ def parse_degree_set(text: str) -> DegreeSet:
     Accepted forms:
       * an explicit list:  ``"1,3,5,7"``
       * an inclusive range: ``"0..9"``
-      * a rule with optional truncation bound: ``"all:60"``, ``"pow2:64"``,
-        ``"even"`` (default bound 60)
+      * a rule with an optional bound: ``"all:60"``, ``"pow2:64"``,
+        ``"pow2"`` (default bound 60)
     """
     if not isinstance(text, str) or not text.strip():
         raise DegreeSetError(f"empty degree-set specification: {text!r}")
@@ -202,8 +158,13 @@ def _power_arrays(degrees: tuple[int, ...], order: int):
     return ps, (small, fact_small, logfact)
 
 
-def _egf_raw(degrees: tuple[int, ...], z: float, order: int) -> float:
-    ps, aux = _power_arrays(degrees, order)
+def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
+    """Evaluate the order-th termwise derivative of omega at z >= 0."""
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got {order}")
+    if not (z >= 0.0) or math.isinf(z):
+        raise ValueError(f"egf_eval requires finite z >= 0, got {z}")
+    ps, aux = _power_arrays(ds.degrees, order)
     if ps.size == 0:
         return 0.0
     if z == 0.0:
@@ -217,40 +178,12 @@ def _egf_raw(degrees: tuple[int, ...], z: float, order: int) -> float:
     return math.fsum(terms.tolist())
 
 
-def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
-    """Evaluate the order-th termwise derivative of omega at z >= 0.
-
-    For rule-based (unbounded) sets the truncation bound is doubled until the
-    value is stable to relative 1e-12; failure to stabilise raises
-    TruncationUnstableError.
-    """
-    if order < 0:
-        raise ValueError(f"derivative order must be >= 0, got {order}")
-    if not (z >= 0.0) or math.isinf(z):
-        raise ValueError(f"egf_eval requires finite z >= 0, got {z}")
-    val = _egf_raw(ds.degrees, z, order)
-    if ds.rule is None:
-        return val
-    bound = ds.bound if ds.bound is not None else DEFAULT_BOUND
-    for _ in range(_MAX_DOUBLINGS):
-        bound *= 2
-        val2 = _egf_raw(ds.widened_degrees(bound), z, order)
-        if abs(val2 - val) <= _STABILITY_RTOL * max(abs(val2), 1e-300):
-            return val2
-        val = val2
-    raise TruncationUnstableError(
-        f"EGF truncation for {ds} did not stabilise at z={z} "
-        f"(last bound {bound}); evaluate at smaller z or raise the bound"
-    )
-
-
 def egf_eval_complex(ds: DegreeSet, z, order: int = 0):
     """Termwise-derivative EGF at complex z (used by saddle evaluations).
 
     ``z`` is a complex scalar, which gives a complex, or an array, which
     gives an array of the same shape; a scalar's terms are summed with
-    math.fsum, an array's with numpy.  No tail-stability doubling: callers
-    keep |z| at or below the real radius they have already validated.
+    math.fsum, an array's with numpy.
     """
     zs = np.asarray(z, dtype=np.complex128)
     ps, aux = _power_arrays(ds.degrees, order)

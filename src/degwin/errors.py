@@ -2,9 +2,9 @@
 
 Kept deliberately small: callers mostly want to distinguish "your input can
 never work" (InfeasibleError, DegreeSetError) from "the numerics refused"
-(ConvergenceError, TruncationUnstableError) and from plain bad arguments
-(ValueError subclasses).  Every class here is also a DegwinError, which the
-command line reports in one line with exit code 2.
+(ConvergenceError, NoCriticalPointError, SingularityError) and from plain bad
+arguments (ValueError subclasses).  Every class here is also a DegwinError,
+which the command line reports in one line with exit code 2.
 """
 
 
@@ -14,10 +14,6 @@ class DegwinError(Exception):
 
 class DegreeSetError(DegwinError, ValueError):
     """A degree-set specification is malformed or violates model requirements."""
-
-
-class TruncationUnstableError(DegwinError, ArithmeticError):
-    """A truncated series over an unbounded degree set failed to stabilise."""
 
 
 class NoCriticalPointError(DegwinError, ArithmeticError):

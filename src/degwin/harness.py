@@ -137,8 +137,13 @@ def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
         if key not in _CONFIG_CONVERTERS:
             raise OutOfRangeError(f"unknown config key {key!r}")
         if isinstance(value, str):
-            value = _CONFIG_CONVERTERS[key](value)
+            try:
+                value = _CONFIG_CONVERTERS[key](value)
+            except ValueError:
+                raise OutOfRangeError(f"config key {key!r}: bad value {value!r}") from None
         kwargs[_CONFIG_FIELDS.get(key, key)] = value
+    if "degrees" not in kwargs:
+        raise OutOfRangeError("no degrees: give --degrees or a degrees = ... config line")
     return ExperimentConfig(**kwargs)
 
 

@@ -151,6 +151,7 @@ class TestPackageErrors:
             (["experiment", "--degrees", "1,3", "--n", "8", "--mu", "0", "--m", "5", "--seed", "1"], "OutOfRangeError", "not both"),
             (["sample", "--degrees", "1,3", "--n", "8", "--m", "5", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
             (["experiment", "--degrees", "1,3", "--n", "8", "--m", "5", "--trials", "2", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
+            (["experiment", "--n", "8", "--m", "5"], "OutOfRangeError", "no degrees"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -158,7 +159,11 @@ class TestPackageErrors:
 
     @pytest.mark.parametrize(
         "config, text",
-        [("bogus line\n", "expected key=value"), ("degrees = 1,3\nbogus = 1\n", "unknown key")],
+        [
+            ("bogus line\n", "expected key=value"),
+            ("degrees = 1,3\nbogus = 1\n", "unknown key"),
+            ("degrees = 1,3\ntrials = abc\n", "trials"),
+        ],
     )
     def test_config_file_errors(self, config, text, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"

@@ -64,21 +64,29 @@ class TestCriticalPoint:
         assert cp.c3 == pytest.approx(2.0 * cp.t3 * cp.alpha * cp.zhat / 3.0, rel=1e-12)
         assert cp.rho == pytest.approx(cp.zhat / w1, rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "rule, degrees",
+        [
+            ("pow2:4", (1, 2, 4)),
+            ("all:5", tuple(range(6))),
+            ("pow2:16", (1, 2, 4, 8, 16)),
+            ("all:60", tuple(range(61))),
+            ("pow2:64", (1, 2, 4, 8, 16, 32, 64)),
+        ],
+    )
+    def test_rule_set_is_its_degree_list(self, rule, degrees):
+        # A rule set names a finite set: its constants and its EGF are those
+        # of the explicit list, bit for bit, also where the tail would matter.
+        ruled, listed = parse_degree_set(rule), DegreeSet(degrees)
+        assert ruled.degrees == degrees
+        assert critical_point(ruled) == critical_point(listed)
+        for z in (0.5, 3.0, 20.0):
+            for order in range(4):
+                assert egf_eval(ruled, z, order) == egf_eval(listed, z, order)
+
     def test_deterministic_and_cached(self):
         ds = parse_degree_set("1,3,5,7")
         assert critical_point(ds) is critical_point(parse_degree_set("1,3,5,7"))
-
-    def test_cache_tells_custom_tails_apart(self):
-        # Equal at bound 8, so the two sets compare equal, but the second
-        # widens to every degree >= 9 and has its own critical point.
-        sparse = DegreeSet.from_predicate(lambda d: d in (1, 3), bound=8)
-        dense = DegreeSet.from_predicate(lambda d: d in (1, 3) or d >= 9, bound=8)
-        assert sparse == dense
-        assert critical_point(sparse).alpha == pytest.approx(0.75, abs=1e-12)
-        cp = critical_point(dense)
-        assert cp == critical_point.__wrapped__(dense)
-        assert cp.alpha == pytest.approx(0.74952, abs=1e-5)
-        assert critical_point(dense) is cp
 
     def test_cache_clear_empties_the_cache(self):
         ds = parse_degree_set("1,3,5,7")

@@ -52,7 +52,7 @@ class TestParsing:
 
     @pytest.mark.parametrize(
         "bad",
-        ["", "   ", "2,4", "1,2", "1", "nosuchrule:10", "3..1", "1,-3", "1,x"],
+        ["", "   ", "2,4", "1,2", "1", "nosuchrule:10", "even", "3..1", "1,-3", "1,x"],
     )
     def test_rejects_invalid_specifications(self, bad):
         with pytest.raises(DegreeSetError):
@@ -65,23 +65,6 @@ class TestParsing:
     def test_requires_degree_three(self):
         with pytest.raises(DegreeSetError, match=">= 3"):
             DegreeSet((1, 2))
-
-    def test_with_bound_extends_rules_only(self):
-        ds = parse_degree_set("pow2:16")
-        assert ds.with_bound(64).degrees == (1, 2, 4, 8, 16, 32, 64)
-        explicit = parse_degree_set("1,3")
-        assert explicit.with_bound(100) is explicit
-
-    def test_widening_is_per_predicate(self):
-        # Equal at bound 8 but different beyond it: the cached widenings must
-        # not be shared between the two sets.
-        sparse = DegreeSet.from_predicate(lambda d: d in (1, 3), bound=8)
-        dense = DegreeSet.from_predicate(lambda d: d in (1, 3) or d >= 9, bound=8)
-        assert sparse == dense
-        assert sparse.widened_degrees(16) == (1, 3)
-        assert dense.widened_degrees(16) == (1, 3, *range(9, 17))
-        assert egf_eval(sparse, 2.0) == pytest.approx(2 + 8 / 6, abs=1e-12)
-        assert egf_eval(dense, 2.0) > egf_eval(sparse, 2.0) + 1e-3
 
 
 class TestEgf:

@@ -1,5 +1,6 @@
-"""Every import of the package is used where it is made, and the theory
-commands start without the graph libraries."""
+"""Every import of the package is used where it is made, the package exports
+exactly what it imports, and the theory commands start without the graph
+libraries."""
 
 import ast
 import os
@@ -8,6 +9,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+import degwin
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degwin"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -40,6 +43,12 @@ def test_no_unused_imports(path):
 
 def test_every_module_is_checked():
     assert len(MODULES) >= 10
+
+
+def test_all_is_the_imported_names():
+    # A name deleted from its module can then linger in neither list.
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    assert sorted(degwin.__all__) == sorted(imported_names(tree.body))
 
 
 @pytest.mark.parametrize(
