@@ -74,6 +74,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 import mpmath as mp
 
@@ -98,6 +99,17 @@ def wright_e(q: int) -> Fraction:
         math.factorial(6 * q),
         (2 ** (5 * q)) * (3 ** (2 * q)) * math.factorial(3 * q) * math.factorial(2 * q),
     )
+
+
+def _wright_e_series() -> Iterator[Fraction]:
+    """wright_e(0), wright_e(1), ... carried by the exact ratio
+    e_q / e_{q-1} = (6q-1)(6q-3)(6q-5) / (72 q (2q-1)), without factorials."""
+    e = Fraction(1)
+    q = 0
+    while True:
+        yield e
+        q += 1
+        e *= Fraction((6 * q - 1) * (6 * q - 3) * (6 * q - 5), 72 * q * (2 * q - 1))
 
 
 # Compensation weight of the *planar* cubic multigraphs with excess q,
@@ -399,8 +411,7 @@ def predict(
         t3sq = mp.mpf(cp.t3) ** 2
         window = _bigA_mp(cp, _excess_y(0), mu, variant, q_max + 1, step=3)
         weights = []
-        for q, a in enumerate(window):
-            e = wright_e(q)
+        for q, (e, a) in enumerate(zip(_wright_e_series(), window)):
             w = mp.mpf(e.numerator) / mp.mpf(e.denominator) * t3sq**q * a
             weights.append(w)
         total = mp.fsum(weights)

@@ -73,41 +73,60 @@ ER_CRITICAL_POINT = CriticalPoint(
 def _phi_root(ds: DegreeSet, k: int, target: float, error: type[Exception]) -> float:
     """Solve phi_k(z) = z omega^(k+1)(z) / omega^(k)(z) = target for z > 0.
 
-    phi_k is non-decreasing on the positive axis.  The root is bracketed by
-    halving and doubling from 1, narrowed by 80 bisection steps, and polished
-    by at most three Newton steps that stay inside the bracket, with
+    phi_k is non-decreasing on the positive axis and lies strictly between
+    min{d in D : d >= k} - k and max(D) - k; a target outside that interval
+    raises ``error`` before any evaluation.  The root is bracketed by halving
+    and doubling from 1, narrowed by bisection until the bracket is two
+    adjacent floats (at most 80 steps), and polished by at most three Newton
+    steps that stay inside the bracket, with
     phi_k' = (w_{k+1} + z w_{k+2}) / w_k - z (w_{k+1} / w_k)^2.  Raises
-    ``error`` when the target is not inside the range of phi_k that the
-    brackets reach, or when evaluating phi_k fails on the way.
+    ``error`` when the brackets do not reach the target, or when evaluating
+    phi_k fails on the way, an overflow included.
     """
+    too_low = f"phi{k} never drops below {target} near 0 for {ds}"
+    too_high = f"phi{k} never exceeds {target} for {ds} on the materialised degree range"
+    if not target > min(d for d in ds.degrees if d >= k) - k:
+        raise error(too_low)
+    if not target < ds.max_degree - k:
+        raise error(too_high)
 
     def phi(z: float) -> float:
         try:
-            return z * egf_eval(ds, z, k + 1) / egf_eval(ds, z, k)
+            value = z * egf_eval(ds, z, k + 1) / egf_eval(ds, z, k)
         except ArithmeticError as exc:
             raise error(f"phi{k} fails at z = {z} for {ds}: {exc}") from None
+        if math.isnan(value):
+            raise error(
+                f"phi{k} fails at z = {z} for {ds}: omega^({k}) and omega^({k + 1}) overflow"
+            )
+        return value
 
-    lo = hi = 1.0
-    for _ in range(200):
-        if phi(lo) < target:
-            break
-        lo /= 2.0
-    else:
-        raise error(f"phi{k} never drops below {target} near 0 for {ds}")
-    for _ in range(200):
-        if phi(hi) > target:
-            break
-        hi *= 2.0
-    else:
-        raise error(
-            f"phi{k} never exceeds {target} for {ds} on the materialised degree range"
-        )
-    for _ in range(_BISECT_STEPS):
-        mid = 0.5 * (lo + hi)
-        if phi(mid) < target:
-            lo = mid
+    # Overflow ends the solve only through phi: a NaN (both EGF values
+    # infinite) is refused above, while an infinite phi over a finite
+    # denominator still brackets the root from above.
+    with np.errstate(over="ignore"):
+        at_one = phi(1.0)
+        lo = hi = 1.0
+        for _ in range(200):
+            if (phi(lo) if lo < 1.0 else at_one) < target:
+                break
+            lo /= 2.0
         else:
-            hi = mid
+            raise error(too_low)
+        for _ in range(200):
+            if (phi(hi) if hi > 1.0 else at_one) > target:
+                break
+            hi *= 2.0
+        else:
+            raise error(too_high)
+        for _ in range(_BISECT_STEPS):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if phi(mid) < target:
+                lo = mid
+            else:
+                hi = mid
     z = 0.5 * (lo + hi)
     for _ in range(_NEWTON_STEPS):
         w0 = egf_eval(ds, z, k)
@@ -129,8 +148,9 @@ def critical_point(ds: DegreeSet) -> CriticalPoint:
     """Solve phi1(zhat) = 1 over the finite set ``ds.degrees`` and assemble
     the window constants.
 
-    Bracketing by doubling/halving, 80 bisection steps, then a short Newton
-    polish.  Deterministic: same inputs give bitwise-identical results.
+    Bracketing by doubling/halving, bisection until the bracket is two
+    adjacent floats (at most 80 steps), then a short Newton polish.
+    Deterministic: same inputs give bitwise-identical results.
     Results are cached per degree set; ``critical_point.cache_clear()``
     empties the cache and ``critical_point.__wrapped__`` is the uncached solve.
     """
@@ -149,7 +169,8 @@ def tree_T(ds: DegreeSet, ell: int, z: float) -> float:
     """T_ell(z) = z omega^(ell)(T1(z)) where T1 solves T1 = z omega'(T1).
 
     Defined for 0 <= z <= rho; T1 is found by bisection on the concave map
-    g(T) = T - z omega'(T) over [0, zhat] plus a guarded Newton polish, and
+    g(T) = T - z omega'(T) over [0, zhat], run until the bracket is two
+    adjacent floats (at most 100 steps), plus a guarded Newton polish, and
     the fixed-point residual must come out below 1e-13.
     """
     if ell < 0:
@@ -191,6 +212,8 @@ def _solve_t1(ds: DegreeSet, z: float, zhat: float) -> float:
         )
     for _ in range(100):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
         if g(mid) < 0.0:
             lo = mid
         else:

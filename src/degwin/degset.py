@@ -143,19 +143,22 @@ def parse_degree_set(text: str) -> DegreeSet:
 @lru_cache(maxsize=256)
 def _power_arrays(degrees: tuple[int, ...], order: int):
     """Exponents p = d - order and factors p! for the order-th termwise
-    derivative of the degree EGF, restricted to d >= order."""
+    derivative of the degree EGF, restricted to d >= order.
+
+    Returns (ps, small, fact_small, logfact).  When every exponent is at most
+    _DIRECT_POWER_LIMIT, small and logfact are None and fact_small holds p!
+    for every p; otherwise small masks the exponents computed directly.
+    """
     ps = np.array([d - order for d in degrees if d >= order], dtype=np.int64)
-    if ps.size == 0:
-        return ps, np.empty(0)
     small = ps <= _DIRECT_POWER_LIMIT
     fact_small = np.array([math.factorial(int(p)) for p in ps[small]], dtype=np.float64)
-    logfact = None
-    if not small.all():
-        from scipy.special import gammaln
+    if small.all():
+        return ps, None, fact_small, None
+    from scipy.special import gammaln
 
-        # log p! via gammaln keeps the large-p path overflow-free.
-        logfact = gammaln(ps.astype(np.float64) + 1.0)
-    return ps, (small, fact_small, logfact)
+    # log p! via gammaln keeps the large-p path overflow-free.
+    logfact = gammaln(ps.astype(np.float64) + 1.0)
+    return ps, small, fact_small, logfact
 
 
 def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
@@ -164,17 +167,17 @@ def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
         raise ValueError(f"derivative order must be >= 0, got {order}")
     if not (z >= 0.0) or math.isinf(z):
         raise ValueError(f"egf_eval requires finite z >= 0, got {z}")
-    ps, aux = _power_arrays(ds.degrees, order)
+    ps, small, fact_small, logfact = _power_arrays(ds.degrees, order)
     if ps.size == 0:
         return 0.0
     if z == 0.0:
         return 1.0 if ps[0] == 0 else 0.0
-    small, fact_small, logfact = aux
+    if small is None:
+        return math.fsum((np.power(z, ps) / fact_small).tolist())
     terms = np.empty(ps.size)
     terms[small] = np.power(z, ps[small]) / fact_small
     big = ~small
-    if big.any():
-        terms[big] = np.exp(ps[big] * math.log(z) - logfact[big])
+    terms[big] = np.exp(ps[big] * math.log(z) - logfact[big])
     return math.fsum(terms.tolist())
 
 
@@ -186,16 +189,17 @@ def egf_eval_complex(ds: DegreeSet, z, order: int = 0):
     math.fsum, an array's with numpy.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    ps, aux = _power_arrays(ds.degrees, order)
+    ps, small, fact_small, logfact = _power_arrays(ds.degrees, order)
     if ps.size == 0:
         return 0.0 + 0.0j if zs.ndim == 0 else np.zeros_like(zs)
     if zs.ndim == 0 and z == 0:
         return complex(1.0 if ps[0] == 0 else 0.0)
-    small, fact_small, logfact = aux
-    terms = np.empty(zs.shape + ps.shape, dtype=np.complex128)
-    terms[..., small] = np.power(zs[..., None], ps[small]) / fact_small
-    big = ~small
-    if big.any():
+    if small is None:
+        terms = np.power(zs[..., None], ps) / fact_small
+    else:
+        terms = np.empty(zs.shape + ps.shape, dtype=np.complex128)
+        terms[..., small] = np.power(zs[..., None], ps[small]) / fact_small
+        big = ~small
         terms[..., big] = np.exp(ps[big] * np.log(zs)[..., None] - logfact[big])
     if zs.ndim:
         return terms.sum(axis=-1)

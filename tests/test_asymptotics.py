@@ -16,6 +16,7 @@ from degwin.asymptotics import (
     _series_sum,
     _window_sums,
     _window_x,
+    _wright_e_series,
     bigA_asymptotic,
     bigA_classical,
     bigA_delta,
@@ -77,6 +78,11 @@ class TestKernelWeights:
             assert wright_e(q) == want
         with pytest.raises(ValueError, match="q >= 0"):
             wright_e(-1)
+
+    def test_running_ratio_is_the_closed_form(self):
+        # predict carries e_q by its exact ratio to e_{q-1}.
+        series = _wright_e_series()
+        assert [next(series) for _ in range(201)] == [wright_e(q) for q in range(201)]
 
     def test_planar_matches_connected_through_excess_two(self):
         for q in range(3):

@@ -1,11 +1,13 @@
 """Critical point, tree series, saddle exponent, and angular profiles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degwin import critical
 from degwin.critical import (
     ER_CRITICAL_POINT,
     critical_point,
@@ -25,6 +27,144 @@ FROZEN_ALPHA = {
     "pow2:64": 0.79579608806563158,
     "all:60": 0.5,
 }
+
+# float.hex of every CriticalPoint field (zhat, alpha, t3, c2, c3, rho).
+# all:150 is the largest set whose exponents are all computed as z^p / p!;
+# pow2:256 also takes the exp(p log z - log p!) path for p > 150.
+PINNED_CRITICAL_POINTS = {
+    "0,1,4,5": (
+        "0x1.4457f574ddc72p+0",
+        "0x1.86abab52bb9bep-2",
+        "0x1.d01c459c28183p+0",
+        "0x1.6ab783d9716f7p-1",
+        "0x1.2b1d15bc8babfp-1",
+        "0x1.c08250d53082fp-1",
+    ),
+    "pow2:64": (
+        "0x1.6f5ed530bb206p+0",
+        "0x1.977295b90da19p-1",
+        "0x1.74911970cf48cp-1",
+        "0x1.0471f03b9e5c5p+1",
+        "0x1.1ba5c14260ffbp-1",
+        "0x1.f584a038601cdp-2",
+    ),
+    "all:60": (
+        "0x1.0000000000000p+0",
+        "0x1.0000000000000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.0000000000000p-1",
+        "0x1.5555555555555p-2",
+        "0x1.78b56362cef38p-2",
+    ),
+    "1,3,5,7": (
+        "0x1.33352287847ddp+0",
+        "0x1.707c06c3ac518p-1",
+        "0x1.3280f84a5f30cp+0",
+        "0x1.d83101fe497c6p+0",
+        "0x1.60f3bbe001438p-1",
+        "0x1.53584ce08eb56p-1",
+    ),
+    "1,3": (
+        "0x1.6a09e667f3bcdp+0",
+        "0x1.8000000000000p-1",
+        "0x1.6a09e667f3bcdp-1",
+        "0x1.8000000000001p+0",
+        "0x1.0000000000001p-1",
+        "0x1.6a09e667f3bcdp-1",
+    ),
+    "1,2,3": (
+        "0x1.6a09e667f3bcep+0",
+        "0x1.ac5ba047a3c1fp-1",
+        "0x1.a827999fcef32p-2",
+        "0x1.8000000000002p+0",
+        "0x1.4e917ee170f85p-2",
+        "0x1.a827999fcef32p-2",
+    ),
+    "1,4": (
+        "0x1.7137449123ef6p+0",
+        "0x1.5555555555555p-1",
+        "0x1.63003fbb4c375p+0",
+        "0x1.fffffffffffffp+0",
+        "0x1.c71c71c71c71cp-1",
+        "0x1.ec49b0c1853f3p-1",
+    ),
+    "pow2:16": (
+        "0x1.6f5ed530bb206p+0",
+        "0x1.977295b90da19p-1",
+        "0x1.74911970cf48cp-1",
+        "0x1.0471f03b9e5c5p+1",
+        "0x1.1ba5c14260ffbp-1",
+        "0x1.f584a038601cdp-2",
+    ),
+    "all:150": (
+        "0x1.0000000000000p+0",
+        "0x1.0000000000000p-1",
+        "0x1.0000000000000p+0",
+        "0x1.0000000000000p-1",
+        "0x1.5555555555555p-2",
+        "0x1.78b56362cef38p-2",
+    ),
+    "pow2:256": (
+        "0x1.6f5ed530bb206p+0",
+        "0x1.977295b90da19p-1",
+        "0x1.74911970cf48cp-1",
+        "0x1.0471f03b9e5c5p+1",
+        "0x1.1ba5c14260ffbp-1",
+        "0x1.f584a038601cdp-2",
+    ),
+}
+PINNED_ROOT1_1357 = {
+    0.6: "0x1.94a0da2ebfabap-1",
+    0.75: "0x1.49bb3f1c9e190p+0",
+    0.9: "0x1.ae0f2e2d2fa8dp+0",
+}
+# tree_T(1,3; order 1, z = rho / 2)
+PINNED_TREE_T1_13 = "0x1.8408293b0d4f1p-2"
+CP_FIELDS = ("zhat", "alpha", "t3", "c2", "c3", "rho")
+
+
+def _solved_hex():
+    """The pinned quantities, solved afresh, as float.hex."""
+    critical_point.cache_clear()
+    cps = {
+        spec: tuple(getattr(critical_point(parse_degree_set(spec)), f).hex() for f in CP_FIELDS)
+        for spec in PINNED_CRITICAL_POINTS
+    }
+    ds = parse_degree_set("1,3,5,7")
+    roots = {r: root1(ds, r).hex() for r in PINNED_ROOT1_1357}
+    ds = parse_degree_set("1,3")
+    tree = tree_T(ds, 1, 0.5 * critical_point(ds).rho).hex()
+    critical_point.cache_clear()
+    return cps, roots, tree
+
+
+@pytest.fixture
+def egf_calls(monkeypatch):
+    """Arguments of every egf_eval call made through ``critical``."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return egf_eval(*args)
+
+    monkeypatch.setattr(critical, "egf_eval", counted)
+    return calls
+
+
+class TestBitPins:
+    def test_values_are_pinned(self):
+        assert _solved_hex() == (PINNED_CRITICAL_POINTS, PINNED_ROOT1_1357, PINNED_TREE_T1_13)
+
+    def test_bisection_ends_when_the_bracket_does(self, monkeypatch):
+        # More steps change nothing: the loop stops once the bracket is two
+        # adjacent floats, well before the cap.
+        monkeypatch.setattr(critical, "_BISECT_STEPS", 200)
+        assert _solved_hex() == (PINNED_CRITICAL_POINTS, PINNED_ROOT1_1357, PINNED_TREE_T1_13)
+
+    @pytest.mark.parametrize("spec, budget", [("1,3,5,7", 125), ("all:60", 130)])
+    def test_evaluation_budget(self, spec, budget, egf_calls):
+        critical_point.__wrapped__(parse_degree_set(spec))
+        assert 0 < len(egf_calls) <= budget
 
 
 class TestCriticalPoint:
@@ -166,6 +306,30 @@ class TestSaddleGeometry:
             root1(ds, 0.5)  # 2r = min degree, attained only as z -> 0
         with pytest.raises(OutOfRangeError):
             root1(ds, 1.5)  # 2r = max degree, attained only as z -> inf
+
+    @pytest.mark.parametrize(
+        "spec, r",
+        [("1,3", 1.5), ("1,3", 0.4), ("1,2,3", 1.5), ("pow2:64", 32.0), ("all:60", 30.0)],
+    )
+    def test_target_outside_phi0_range_is_not_evaluated(self, spec, r, egf_calls):
+        # phi0 lies strictly between min(D) and max(D); a target at or past
+        # either end is refused before phi0 is evaluated.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="never"):
+                root1(parse_degree_set(spec), r)
+        assert egf_calls == []
+
+    @pytest.mark.parametrize("r", [29.999999999, 29.99999999999997])
+    def test_unreachable_target_is_a_package_error(self, r):
+        # 2r is below max(D) = 60, but the EGF overflows long before phi0
+        # gets there: the overflow ends the solve, not a numpy warning.
+        ds = parse_degree_set("all:60")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OutOfRangeError, match="overflow"):
+                root1(ds, r)
+            assert root1(ds, 29.0) > 0.0
 
     def test_exponent_value_unbounded_set(self):
         # At r = 1/2 and z = 1 the truncated-exponential family gives
