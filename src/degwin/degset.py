@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable
@@ -34,7 +35,8 @@ from .errors import DegreeSetError
 
 DEFAULT_BOUND = 60
 # Largest exponent for which z**p / p! is computed directly in floats; above
-# this we go through exp(p log z - lgamma(p+1)) to dodge overflow.
+# this we go through exp(p log z - lgamma(p+1)) to dodge overflow.  Smaller
+# exponents take that form too once z**p itself would overflow.
 _DIRECT_POWER_LIMIT = 150
 
 _RULES: dict[str, Callable[[int], bool]] = {
@@ -145,20 +147,39 @@ def _power_arrays(degrees: tuple[int, ...], order: int):
     """Exponents p = d - order and factors p! for the order-th termwise
     derivative of the degree EGF, restricted to d >= order.
 
-    Returns (ps, small, fact_small, logfact).  When every exponent is at most
-    _DIRECT_POWER_LIMIT, small and logfact are None and fact_small holds p!
-    for every p; otherwise small masks the exponents computed directly.
+    Returns (ps, small, fact_small, z_direct).  small masks the exponents
+    computed directly as z**p / p!, and is None when that is all of them;
+    fact_small holds p! for those.  z_direct is the largest z at which the
+    largest direct power z**p is still finite: above it every term goes
+    through exp(p log z - log p!), so a finite term never overflows.
     """
     ps = np.array([d - order for d in degrees if d >= order], dtype=np.int64)
     small = ps <= _DIRECT_POWER_LIMIT
     fact_small = np.array([math.factorial(int(p)) for p in ps[small]], dtype=np.float64)
-    if small.all():
-        return ps, None, fact_small, None
+    z_direct = _largest_finite_base(int(ps[small].max(initial=0)))
+    return ps, (None if small.all() else small), fact_small, z_direct
+
+
+def _largest_finite_base(p: int) -> float:
+    """The largest float z with z**p finite (inf for p = 0)."""
+    if p == 0:
+        return math.inf
+    z = sys.float_info.max ** (1.0 / p)
+    with np.errstate(over="ignore"):
+        while not np.isfinite(np.power(z, p)):
+            z = math.nextafter(z, 0.0)
+        while np.isfinite(np.power(math.nextafter(z, math.inf), p)):
+            z = math.nextafter(z, math.inf)
+    return z
+
+
+@lru_cache(maxsize=256)
+def _log_factorials(degrees: tuple[int, ...], order: int) -> np.ndarray:
+    """log p! for every exponent of ``_power_arrays``, via gammaln."""
     from scipy.special import gammaln
 
-    # log p! via gammaln keeps the large-p path overflow-free.
-    logfact = gammaln(ps.astype(np.float64) + 1.0)
-    return ps, small, fact_small, logfact
+    ps = _power_arrays(degrees, order)[0]
+    return gammaln(ps.astype(np.float64) + 1.0)
 
 
 def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
@@ -167,17 +188,21 @@ def egf_eval(ds: DegreeSet, z: float, order: int = 0) -> float:
         raise ValueError(f"derivative order must be >= 0, got {order}")
     if not (z >= 0.0) or math.isinf(z):
         raise ValueError(f"egf_eval requires finite z >= 0, got {z}")
-    ps, small, fact_small, logfact = _power_arrays(ds.degrees, order)
+    ps, small, fact_small, z_direct = _power_arrays(ds.degrees, order)
     if ps.size == 0:
         return 0.0
     if z == 0.0:
         return 1.0 if ps[0] == 0 else 0.0
-    if small is None:
+    if z > z_direct:
+        terms = np.exp(ps * math.log(z) - _log_factorials(ds.degrees, order))
+    elif small is None:
         return math.fsum((np.power(z, ps) / fact_small).tolist())
-    terms = np.empty(ps.size)
-    terms[small] = np.power(z, ps[small]) / fact_small
-    big = ~small
-    terms[big] = np.exp(ps[big] * math.log(z) - logfact[big])
+    else:
+        terms = np.empty(ps.size)
+        terms[small] = np.power(z, ps[small]) / fact_small
+        big = ~small
+        logfact = _log_factorials(ds.degrees, order)
+        terms[big] = np.exp(ps[big] * math.log(z) - logfact[big])
     return math.fsum(terms.tolist())
 
 
@@ -186,24 +211,39 @@ def egf_eval_complex(ds: DegreeSet, z, order: int = 0):
 
     ``z`` is a complex scalar, which gives a complex, or an array, which
     gives an array of the same shape; a scalar's terms are summed with
-    math.fsum, an array's with numpy.
+    math.fsum, an array's with numpy.  As in ``egf_eval``, a z with
+    |z| above the direct-power range takes every term in log-gamma form.
     """
     zs = np.asarray(z, dtype=np.complex128)
-    ps, small, fact_small, logfact = _power_arrays(ds.degrees, order)
+    ps, small, fact_small, z_direct = _power_arrays(ds.degrees, order)
     if ps.size == 0:
         return 0.0 + 0.0j if zs.ndim == 0 else np.zeros_like(zs)
     if zs.ndim == 0 and z == 0:
         return complex(1.0 if ps[0] == 0 else 0.0)
-    if small is None:
-        terms = np.power(zs[..., None], ps) / fact_small
+    over = np.abs(zs) > z_direct
+    if not over.any():
+        terms = _complex_terms(ds.degrees, order, zs)
     else:
         terms = np.empty(zs.shape + ps.shape, dtype=np.complex128)
-        terms[..., small] = np.power(zs[..., None], ps[small]) / fact_small
-        big = ~small
-        terms[..., big] = np.exp(ps[big] * np.log(zs)[..., None] - logfact[big])
+        logfact = _log_factorials(ds.degrees, order)
+        terms[over] = np.exp(ps * np.log(zs[over])[:, None] - logfact)
+        terms[~over] = _complex_terms(ds.degrees, order, zs[~over])
     if zs.ndim:
         return terms.sum(axis=-1)
     return complex(math.fsum(terms.real.tolist()), math.fsum(terms.imag.tolist()))
+
+
+def _complex_terms(degrees: tuple[int, ...], order: int, zs: np.ndarray) -> np.ndarray:
+    """Terms z^p / p! for |z| within the direct-power range, one row per z."""
+    ps, small, fact_small, _ = _power_arrays(degrees, order)
+    if small is None:
+        return np.power(zs[..., None], ps) / fact_small
+    terms = np.empty(zs.shape + ps.shape, dtype=np.complex128)
+    terms[..., small] = np.power(zs[..., None], ps[small]) / fact_small
+    big = ~small
+    logfact = _log_factorials(degrees, order)
+    terms[..., big] = np.exp(ps[big] * np.log(zs)[..., None] - logfact[big])
+    return terms
 
 
 def phi0(ds: DegreeSet, z: float) -> float:

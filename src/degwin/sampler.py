@@ -3,7 +3,10 @@
 A degree sequence (d_1, ..., d_n) with all d_v in D and sum 2m is drawn with
 probability proportional to prod_v 1/d_v!, coordinate by coordinate, from the
 precomputed weight table S[i][j] = sum of those products over length-i prefix
-sequences with sum j.  A uniform random pairing of the half-edge stubs then
+sequences with sum j.  The table is kept in log space and built row by row,
+one log-sum-exp over the degrees per cell, so each cell is rounded once; the
+step log-ratios the walk reads are within a few 1e-12 of a long-double build
+(``build_dp``).  A uniform random pairing of the half-edge stubs then
 produces a multigraph, and pairings are rejected until the result is simple.
 Each simple graph with a given degree sequence arises from exactly
 prod_v d_v! pairings, so the two factors cancel and accepted graphs are
@@ -36,6 +39,7 @@ from .errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from .graph import Graph
 
 NEG_INF = float("-inf")
+_FLOOR = float(np.finfo(np.float64).min)
 DEFAULT_MAX_ATTEMPTS = 10_000
 _ENUM_MAX_N = 12
 # Rows walked per round of ``sample_batch``, shared among the active trials.
@@ -65,6 +69,16 @@ class DPTable:
 def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
     """Fill the full (n+1) x (2m+1) weight table in log space.
 
+    Row i is S[i][j] = sum_d S[i-1][j-d] / d!, taken as one log-sum-exp per
+    cell over the degrees: the terms log S[i-1][j-d] - log d! of every cell
+    of the row are laid out degree by degree, shifted by their largest
+    value, exponentiated, summed and logged, so each cell is rounded once.
+    Against a long-double build of the same recurrence the step log-ratios
+    log S[i-1][j-d] - log S[i][j] that the walk reads are off by at most
+    3e-12 for ``all:60`` at n = 2048, 2m = 2048.  Only the cells that can
+    be finite are computed: i*min(D) <= j <= i*max(D), in the residue class
+    of i*min(D) modulo the degree period; the others stay -inf.
+
     Raises InfeasibleError when no sequence over ``ds`` of length n sums to
     ``two_m`` (the corner weight is the zero sentinel), e.g. on parity
     grounds.
@@ -77,18 +91,40 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
         raise InfeasibleError(
             f"two_m = {two_m} exceeds n*max(D) = {n * ds.max_degree}"
         )
-    logw = np.full((n + 1, two_m + 1), NEG_INF)
-    logw[0, 0] = 0.0
+    if two_m < n * ds.min_degree:
+        raise InfeasibleError(
+            f"two_m = {two_m} is below n*min(D) = {n * ds.min_degree}"
+        )
     degs, logfact = _degree_arrays(ds, two_m)
-    for i in range(1, n + 1):
-        prev = logw[i - 1]
-        row = np.full(two_m + 1, NEG_INF)
-        for d, lf in zip(degs.tolist(), logfact.tolist()):
-            if d == 0:
-                np.logaddexp(row, prev - lf, out=row)
-            else:
-                np.logaddexp(row[d:], prev[:-d] - lf, out=row[d:])
-        logw[i] = row
+    top = int(degs[-1])
+    p = periodicity(ds)
+    # top columns of -inf left of column 0, so that S[i-1][j-d] with j < d
+    # reads the zero sentinel; logw is the view from column 0 on.
+    padded = np.full((n + 1, top + two_m + 1), NEG_INF)
+    logw = padded[:, top:]
+    logw[0, 0] = 0.0
+    shifts = [(top - d, lf) for d, lf in zip(degs.tolist(), logfact.tolist())]
+    width = two_m // p + 1
+    terms = np.empty(len(shifts) * width)
+    peak = np.empty(width)
+    with np.errstate(divide="ignore"):
+        for i in range(1, n + 1):
+            lo = i * ds.min_degree
+            cols = (min(i * top, two_m) - lo) // p + 1
+            stop = lo + (cols - 1) * p + 1
+            y = terms[: len(shifts) * cols].reshape(len(shifts), cols)
+            prev = padded[i - 1]
+            for k, (s, lf) in enumerate(shifts):
+                np.subtract(prev[lo + s : stop + s : p], lf, out=y[k])
+            # A finite floor instead of -inf for cells with no finite term:
+            # there y - mx stays -inf and the cell comes out log(0) = -inf.
+            mx = np.max(y, axis=0, out=peak[:cols], initial=_FLOOR)
+            y -= mx
+            np.exp(y, out=y)
+            row = logw[i, lo:stop:p]
+            np.sum(y, axis=0, out=row)
+            np.log(row, out=row)
+            row += mx
     if not np.isfinite(logw[n, two_m]):
         raise InfeasibleError(
             f"no degree sequence over {ds} of length {n} sums to {two_m}"

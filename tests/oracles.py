@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import networkx as nx
+import numpy as np
 
 from degwin.graph import Graph, KernelMultigraph, components, from_jsonl_line, to_jsonl_line
 
@@ -168,6 +169,24 @@ def sequence_marginals(degrees, n: int, two_m: int) -> dict[int, Fraction]:
     for seq, w in table.items():
         by_first[seq[0]] = by_first.get(seq[0], Fraction(0)) + w
     return {d: w / total for d, w in by_first.items()}
+
+
+def logaddexp_table(degrees, n: int, two_m: int) -> np.ndarray:
+    """The log-space prefix-weight table, row by row as a chain of one
+    ``np.logaddexp`` per degree: row i accumulates row i-1 shifted right by
+    d and lowered by log d!, each cell rounded once per degree.  Cells no
+    sequence reaches stay -inf."""
+    from scipy.special import gammaln
+
+    logw = np.full((n + 1, two_m + 1), -np.inf)
+    logw[0, 0] = 0.0
+    for i in range(1, n + 1):
+        prev, row = logw[i - 1], logw[i]
+        for d in degrees:
+            if d <= two_m:
+                lf = float(gammaln(d + 1.0))
+                np.logaddexp(row[d:], prev[: two_m + 1 - d] - lf, out=row[d:])
+    return logw
 
 
 def enumerate_matchings(owners: list[int]) -> list[tuple[tuple[int, int], ...]]:

@@ -331,6 +331,17 @@ class TestSaddleGeometry:
                 root1(ds, r)
             assert root1(ds, 29.0) > 0.0
 
+    @pytest.mark.parametrize("r", [90.0, 110.0])
+    def test_root_past_the_direct_power_range(self, r):
+        # omega' has the direct exponent 150, which overflows as z**150 near
+        # z = 113.5 while omega'(z) is finite; the root lies beyond that.
+        ds = parse_degree_set("0,1,2,151,300")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z = root1(ds, r)
+            assert z > 113.6
+            assert phi0(ds, z) == pytest.approx(2.0 * r, rel=1e-12)
+
     def test_exponent_value_unbounded_set(self):
         # At r = 1/2 and z = 1 the truncated-exponential family gives
         # h = 0.5 log(omega'/z) + 0.5 log(2 omega - z omega') = 1.

@@ -1,13 +1,16 @@
 """Degree-set parsing, generating-function evaluation, and admissibility."""
 
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from degwin.degset import (
     DegreeSet,
+    _power_arrays,
     check_condition_C,
     egf_eval,
     egf_eval_complex,
@@ -124,6 +127,59 @@ class TestEgf:
             for z, value in zip(zs.ravel(), got.ravel()):
                 want = egf_eval_complex(ds, z, order)
                 assert value == pytest.approx(want, rel=1e-14, abs=0)
+
+
+class TestEgfPastDirectOverflow:
+    """z**p overflows for z above about 113 at p = 150 although z**p / p!
+    is finite; such terms go through the log-gamma form instead."""
+
+    @staticmethod
+    def _mp_sum(ds, z, order):
+        with mpmath.workdps(40):
+            return mpmath.fsum(
+                mpmath.mpf(z) ** (d - order) / mpmath.factorial(d - order)
+                for d in ds.degrees
+                if d >= order
+            )
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_matches_exact_sum(self, order):
+        ds = parse_degree_set("all:150")
+        want = self._mp_sum(ds, 150.0, order)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = egf_eval(ds, 150.0, order)
+            got_complex = egf_eval_complex(ds, complex(150.0, 0.0), order)
+        assert abs(got - want) <= 1e-13 * want
+        assert abs(got_complex.real - want) <= 1e-13 * want
+        assert got_complex.imag == 0.0
+
+    def test_array_mixes_both_forms(self):
+        # Rows below the cutoff keep the direct-power bits of a scalar call.
+        ds = parse_degree_set("all:150")
+        zs = np.array([2.0, 150.0, 60.0, 120.0 + 1.0j])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = egf_eval_complex(ds, zs)
+            for z, value in zip(zs, got):
+                assert value == pytest.approx(egf_eval_complex(ds, z), rel=1e-14, abs=0)
+        assert got[0] == egf_eval_complex(ds, zs[:1])[0]
+        assert got[2] == egf_eval_complex(ds, zs[2:3])[0]
+        assert np.isfinite(got).all()
+
+    @pytest.mark.parametrize("order", [0, 1])
+    def test_both_sides_of_the_cutoff(self, order):
+        # The cutoff is the largest z whose direct powers stay finite: at it
+        # the direct form runs without an overflow, one float above it the
+        # log-gamma form takes over.
+        ds = parse_degree_set("all:150")
+        z_direct = _power_arrays(ds.degrees, order)[3]
+        for z in (z_direct, math.nextafter(z_direct, math.inf)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = egf_eval(ds, z, order)
+            want = self._mp_sum(ds, z, order)
+            assert abs(got - want) <= 1e-13 * want
 
 
 class TestCharacteristicFunctions:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+import warnings
 from collections import Counter
 from fractions import Fraction
 
@@ -27,7 +28,12 @@ from degwin.sampler import (
     trial_generator,
 )
 
-from oracles import enumerate_matchings, enumerate_sequences, enumerate_simple_graphs
+from oracles import (
+    enumerate_matchings,
+    enumerate_sequences,
+    enumerate_simple_graphs,
+    logaddexp_table,
+)
 
 FAMILIES = ("1,3", "1,2,3", "0,1,4,5")
 
@@ -84,6 +90,74 @@ class TestWeightTable:
             build_dp(ds, 2, -2)
         with pytest.raises(InfeasibleError, match="exceeds"):
             build_dp(ds, 2, 8)
+
+
+# Families for the comparison with the logaddexp-chain table: a parity
+# family, one with degree 0 and gaps, the paper's window family, a sparse
+# rule set and the 61-degree unconstrained set.
+ORACLE_FAMILIES = ("1,3", "0,1,4,5", "1,3,5,7", "pow2:16", "all:60")
+ORACLE_N = 300
+
+
+def _oracle_table(spec):
+    ds = parse_degree_set(spec)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        m, _ = edges_for_mu(ds, ORACLE_N, 0.0)
+    return ds, build_dp(ds, ORACLE_N, 2 * m)
+
+
+class TestLogSumExpRows:
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_matches_logaddexp_chain(self, spec):
+        ds, dp = _oracle_table(spec)
+        want = logaddexp_table(ds.degrees, dp.n, dp.two_m)
+        finite = np.isfinite(want)
+        assert np.array_equal(np.isfinite(dp.logw), finite)
+        assert np.max(np.abs(dp.logw[finite] - want[finite])) <= 1e-10
+
+    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
+    def test_draws_match_logaddexp_chain(self, spec):
+        ds, dp = _oracle_table(spec)
+        chain = sampler.DPTable(dp.n, dp.two_m, logaddexp_table(ds.degrees, dp.n, dp.two_m))
+        degs, logfact = sampler._degree_arrays(ds, dp.two_m)
+        u_block = np.random.default_rng(2017).random((512, dp.n))
+        got = sampler._walk_batch(dp, degs, logfact, u_block)
+        assert np.array_equal(got, sampler._walk_batch(chain, degs, logfact, u_block))
+
+    @pytest.mark.parametrize("spec", ("1,3", "1,2,3", "0,1,4,5", "all:10"))
+    def test_every_cell_is_exact_at_small_n(self, spec):
+        ds = parse_degree_set(spec)
+        n = 8
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dp = build_dp(ds, n, n * ds.max_degree)
+        for i in range(n + 1):
+            for j in range(dp.two_m + 1):
+                exact = sampler._exact_weight_sum(ds.degrees, i, j)
+                if exact == 0:
+                    assert dp.logw[i, j] == -np.inf, (i, j)
+                else:
+                    assert math.exp(dp.logw[i, j]) == pytest.approx(float(exact), rel=1e-12), (i, j)
+
+    def test_no_degree_fits_the_budget(self):
+        # 2m = 0 is below min(D) = 1: no degree survives the d <= 2m filter.
+        with pytest.raises(InfeasibleError):
+            build_dp(parse_degree_set("1,3"), 2, 0)
+
+    def test_single_vertex(self):
+        dp = build_dp(parse_degree_set("1,3"), 1, 3)
+        assert math.exp(dp.logw[1, 3]) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert np.isneginf(dp.logw[1, [0, 2]]).all()
+
+    def test_parity_cells_build_without_warnings(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            dp = build_dp(parse_degree_set("1,3"), 9, 9)
+        assert dp.feasible
+        # Odd rows hold odd sums only, even rows even sums.
+        assert np.isneginf(dp.logw[9, 0::2]).all() and np.isfinite(dp.logw[9, 9])
+        assert np.isneginf(dp.logw[8, 1::2]).all()
 
 
 class TestStepDistribution:
