@@ -138,6 +138,8 @@ def _predict_row(cp, mu: float, qmax: int) -> dict:
 
 
 def _cmd_predict(args) -> int:
+    if not args.mu:
+        raise OutOfRangeError("--mu names no window location")
     ds = parse_degree_set(args.degrees)
     cp = critical_point(ds)
     rows = [_predict_row(cp, mu, args.qmax) for mu in args.mu]
@@ -176,7 +178,7 @@ def _cmd_sample(args) -> int:
         rngs = [trial_generator(args.seed, t) for t in range(lo, hi)]
         graphs, _ = sample_batch(ds, dp, rngs, max_attempts=args.max_attempts)
         lines.extend(to_jsonl_line(g) for g in graphs)
-    text = "\n".join(lines) + "\n"
+    text = "".join(line + "\n" for line in lines)
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)

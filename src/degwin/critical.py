@@ -1,4 +1,4 @@
-"""Critical point, tree generating functions, and the saddle exponent.
+"""Critical point, window constants, and the angular profile of the saddle exponent.
 
 For a degree set D with EGF omega, the critical edge density and the constants
 of the scaling window come from the branching-ratio equation phi1(zhat) = 1:
@@ -9,44 +9,27 @@ of the scaling window come from the branching-ratio equation phi1(zhat) = 1:
     c3    = 2 t3 alpha zhat / 3
     rho   = zhat / omega'(zhat)     (singularity of the rooted-tree series)
 
-The rooted-tree series T1 solves T1 = z omega'(T1); its derived series
-T_ell = z omega^(ell)(T1) count rooted trees weighted by the root's allowed
-child counts, U = T0 - T1^2/2 counts unrooted trees, and
-V = (log(1/(1-T2)) - T2 - T2^2/2) / 2 counts unicyclic components.
-
-h_eval is the saddle exponent steering contour estimates at edge density r:
+petrov_profile samples Re h on a circle |z| = z0, where h is the saddle
+exponent of contour estimates at edge density r:
 
     h(z; r) = r log omega'(z) - r log z + (1 - r) log(2 omega(z) - z omega'(z))
 
-whose z-derivative has the sign of (phi0 - 2r)(phi1 - 1)/(phi0 - 2), with
-interior roots where phi0(z) = 2r (root1) and phi1(z) = 1 (zhat).
-petrov_profile samples Re h on a circle |z| = z0: for z0 at or below
-min(root1(r), zhat) the maxima over the angle sit exactly at the multiples of
-2 pi / p where p is the degree period.
+Its z-derivative has the sign of (phi0 - 2r)(phi1 - 1)/(phi0 - 2), with
+interior roots where phi0(z) = 2r (root1) and phi1(z) = 1 (zhat).  For z0 at
+or below min(root1(r), zhat) the maxima over the angle sit exactly at the
+multiples of 2 pi / p where p is the degree period.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .degset import (
-    DegreeSet,
-    egf_eval,
-    egf_eval_complex,
-    periodicity,
-    phi0,
-)
-from .errors import (
-    ConvergenceError,
-    NoCriticalPointError,
-    OutOfRangeError,
-    SingularityError,
-)
+from .degset import DegreeSet, egf_eval, egf_eval_complex, periodicity, phi0
+from .errors import NoCriticalPointError, OutOfRangeError
 
 _BISECT_STEPS = 80
 _NEWTON_STEPS = 3
@@ -165,100 +148,6 @@ def critical_point(ds: DegreeSet) -> CriticalPoint:
     return CriticalPoint(zhat=zhat, alpha=alpha, t3=t3, c2=c2, c3=c3, rho=rho)
 
 
-def tree_T(ds: DegreeSet, ell: int, z: float) -> float:
-    """T_ell(z) = z omega^(ell)(T1(z)) where T1 solves T1 = z omega'(T1).
-
-    Defined for 0 <= z <= rho; T1 is found by bisection on the concave map
-    g(T) = T - z omega'(T) over [0, zhat], run until the bracket is two
-    adjacent floats (at most 100 steps), plus a guarded Newton polish, and
-    the fixed-point residual must come out below 1e-13.
-    """
-    if ell < 0:
-        raise ValueError(f"derivative order must be >= 0, got {ell}")
-    if z < 0.0:
-        raise ValueError(f"tree_T requires z >= 0, got {z}")
-    cp = critical_point(ds)
-    if z > cp.rho * (1.0 + 1e-12):
-        raise ConvergenceError(
-            f"tree series diverges: z = {z} exceeds the singularity "
-            f"rho = {cp.rho}",
-            residual=z - cp.rho,
-        )
-    z_eff = min(z, cp.rho)
-    if z_eff == 0.0:
-        return 0.0
-    if z_eff == cp.rho:
-        # At the singularity the fixed point is exactly zhat; solving there
-        # loses half the float digits to the square-root branch point.
-        t1 = cp.zhat
-    else:
-        t1 = _solve_t1(ds, z_eff, cp.zhat)
-    return z * egf_eval(ds, t1, ell)
-
-
-def _solve_t1(ds: DegreeSet, z: float, zhat: float) -> float:
-    def g(t: float) -> float:
-        return t - z * egf_eval(ds, t, 1)
-
-    lo, hi = 0.0, zhat
-    g_hi = g(hi)
-    if g_hi < 0.0:
-        # Only roundoff at z = rho can put us here; accept the endpoint if the
-        # residual is at noise level.
-        if abs(g_hi) < 1e-10 * max(1.0, zhat):
-            return hi
-        raise ConvergenceError(
-            f"no tree fixed point bracket at z = {z}", residual=g_hi
-        )
-    for _ in range(100):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if g(mid) < 0.0:
-            lo = mid
-        else:
-            hi = mid
-    t = 0.5 * (lo + hi)
-    for _ in range(_NEWTON_STEPS):
-        dg = 1.0 - z * egf_eval(ds, t, 2)
-        if abs(dg) < 1e-8:
-            break
-        t_new = t - g(t) / dg
-        if not (0.0 <= t_new <= zhat):
-            break
-        t = t_new
-    resid = g(t)
-    if abs(resid) >= 1e-13 * max(1.0, zhat):
-        raise ConvergenceError(
-            f"tree fixed point residual {resid} too large at z = {z}",
-            residual=resid,
-        )
-    return t
-
-
-def unrooted_U(ds: DegreeSet, z: float) -> float:
-    """Unrooted-tree series U(z) = T0(z) - T1(z)^2 / 2."""
-    t0 = tree_T(ds, 0, z)
-    t1 = tree_T(ds, 1, z)
-    return t0 - 0.5 * t1 * t1
-
-
-def unicycle_V(ds: DegreeSet, z: float) -> float:
-    """Unicyclic-component series V = (log(1/(1-T2)) - T2 - T2^2/2) / 2.
-
-    Diverges at z = rho where T2 reaches 1.
-    """
-    cp = critical_point(ds)
-    if z >= cp.rho:
-        raise SingularityError(
-            f"unicycle series diverges at z >= rho = {cp.rho}, got {z}"
-        )
-    t2 = tree_T(ds, 2, z)
-    if t2 >= 1.0:
-        raise SingularityError(f"T2(z) = {t2} >= 1 at z = {z}")
-    return 0.5 * (-math.log1p(-t2) - t2 - 0.5 * t2 * t2)
-
-
 def root1(ds: DegreeSet, r: float) -> float:
     """Solve phi0(z) = 2r on the positive axis.
 
@@ -267,18 +156,6 @@ def root1(ds: DegreeSet, r: float) -> float:
     the root coincides with zhat, making the saddle of h a double root.
     """
     return _phi_root(ds, 0, 2.0 * r, OutOfRangeError)
-
-
-def h_eval(ds: DegreeSet, z: complex, r: float) -> complex:
-    """Saddle exponent h(z; r) with principal-branch logarithms."""
-    if z == 0:
-        raise ValueError("h_eval undefined at z = 0")
-    w0 = egf_eval_complex(ds, z, 0)
-    w1 = egf_eval_complex(ds, z, 1)
-    tail = 2.0 * w0 - z * w1
-    if w1 == 0 or tail == 0:
-        raise SingularityError(f"log argument vanishes at z = {z}")
-    return r * (cmath.log(w1) - cmath.log(z)) + (1.0 - r) * cmath.log(tail)
 
 
 @dataclass(frozen=True)

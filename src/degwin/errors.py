@@ -2,9 +2,9 @@
 
 Kept deliberately small: callers mostly want to distinguish "your input can
 never work" (InfeasibleError, DegreeSetError) from "the numerics refused"
-(ConvergenceError, NoCriticalPointError, SingularityError) and from plain bad
-arguments (ValueError subclasses).  Every class here is also a DegwinError,
-which the command line reports in one line with exit code 2.
+(ConvergenceError, NoCriticalPointError) and from plain bad arguments
+(ValueError subclasses).  Every class here is also a DegwinError, which the
+command line reports in one line with exit code 2.
 """
 
 
@@ -22,14 +22,6 @@ class NoCriticalPointError(DegwinError, ArithmeticError):
 
 class ConvergenceError(DegwinError, ArithmeticError):
     """An iterative solve or series summation failed to converge."""
-
-    def __init__(self, message: str, residual: float | None = None):
-        super().__init__(message)
-        self.residual = residual
-
-
-class SingularityError(DegwinError, ArithmeticError):
-    """Evaluation was requested at or beyond a singularity."""
 
 
 class OutOfRangeError(DegwinError, ValueError):

@@ -389,6 +389,8 @@ def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:
     """
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
+    if not math.isfinite(mu):
+        raise OutOfRangeError(f"mu must be finite, got {mu}")
     cp = critical_point(ds)
     scale = float(n) ** (1.0 / 3.0)
     base = round(cp.alpha * n * (1.0 + mu / scale))

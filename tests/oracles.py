@@ -8,6 +8,7 @@ implementations, kept slow and obvious.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 import random
@@ -187,6 +188,20 @@ def logaddexp_table(degrees, n: int, two_m: int) -> np.ndarray:
                 lf = float(gammaln(d + 1.0))
                 np.logaddexp(row[d:], prev[: two_m + 1 - d] - lf, out=row[d:])
     return logw
+
+
+def h_eval(degrees, z: complex, r: float) -> complex:
+    """Saddle exponent h(z; r) = r log(omega'(z) / z) + (1 - r) log(2 omega(z)
+    - z omega'(z)) with principal-branch logarithms, omega summed term by
+    term over ``degrees`` in complex floats."""
+    if z == 0:
+        raise ValueError("h_eval undefined at z = 0")
+    w0 = sum(z**d / math.factorial(d) for d in degrees)
+    w1 = sum(z ** (d - 1) / math.factorial(d - 1) for d in degrees if d >= 1)
+    tail = 2.0 * w0 - z * w1
+    if w1 == 0 or tail == 0:
+        raise ValueError(f"log argument vanishes at z = {z}")
+    return r * (cmath.log(w1) - cmath.log(z)) + (1.0 - r) * cmath.log(tail)
 
 
 def enumerate_matchings(owners: list[int]) -> list[tuple[tuple[int, int], ...]]:

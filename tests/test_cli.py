@@ -152,6 +152,10 @@ class TestPackageErrors:
             (["sample", "--degrees", "1,3", "--n", "8", "--m", "5", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
             (["experiment", "--degrees", "1,3", "--n", "8", "--m", "5", "--trials", "2", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
             (["experiment", "--n", "8", "--m", "5"], "OutOfRangeError", "no degrees"),
+            (["predict", "--degrees", "1,3", "--mu=", "--csv"], "OutOfRangeError", "no window location"),
+            (["predict", "--degrees", "1,3", "--mu="], "OutOfRangeError", "no window location"),
+            (["sample", "--degrees", "1,3", "--n", "50", "--mu", "inf", "--seed", "1"], "OutOfRangeError", "mu must be finite"),
+            (["experiment", "--degrees", "1,3", "--n", "50", "--mu=nan"], "OutOfRangeError", "mu must be finite"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -199,6 +203,14 @@ class TestSample:
         assert main([*self.ARGS, "--count", "2", "--out", str(path)]) == 0
         assert capsys.readouterr().out == ""
         assert path.read_text(encoding="utf-8") == expected
+
+    def test_count_zero_writes_nothing(self, capsys, tmp_path):
+        assert main([*self.ARGS, "--count", "0"]) == 0
+        assert capsys.readouterr().out == ""
+        path = tmp_path / "graphs.jsonl"
+        assert main([*self.ARGS, "--count", "0", "--out", str(path)]) == 0
+        assert capsys.readouterr().out == ""
+        assert path.read_text(encoding="utf-8") == ""
 
     def test_mu_reports_resolved_edge_count(self, capsys):
         args = ["sample", "--degrees", "1,3", "--n", "8", "--mu", "0", "--seed", "1"]

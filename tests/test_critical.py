@@ -1,4 +1,4 @@
-"""Critical point, tree series, saddle exponent, and angular profiles."""
+"""Critical point, the phi0 root, and angular profiles."""
 
 import math
 import warnings
@@ -8,18 +8,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degwin import critical
-from degwin.critical import (
-    ER_CRITICAL_POINT,
-    critical_point,
-    h_eval,
-    petrov_profile,
-    root1,
-    tree_T,
-    unicycle_V,
-    unrooted_U,
-)
+from degwin.critical import ER_CRITICAL_POINT, critical_point, petrov_profile, root1
 from degwin.degset import DegreeSet, egf_eval, parse_degree_set, phi0, phi1
-from degwin.errors import ConvergenceError, OutOfRangeError, SingularityError
+from degwin.errors import OutOfRangeError
 
 # Frozen by an independent 40-digit bisection on phi1(z) = 1.
 FROZEN_ALPHA = {
@@ -118,8 +109,6 @@ PINNED_ROOT1_1357 = {
     0.75: "0x1.49bb3f1c9e190p+0",
     0.9: "0x1.ae0f2e2d2fa8dp+0",
 }
-# tree_T(1,3; order 1, z = rho / 2)
-PINNED_TREE_T1_13 = "0x1.8408293b0d4f1p-2"
 CP_FIELDS = ("zhat", "alpha", "t3", "c2", "c3", "rho")
 
 
@@ -132,10 +121,8 @@ def _solved_hex():
     }
     ds = parse_degree_set("1,3,5,7")
     roots = {r: root1(ds, r).hex() for r in PINNED_ROOT1_1357}
-    ds = parse_degree_set("1,3")
-    tree = tree_T(ds, 1, 0.5 * critical_point(ds).rho).hex()
     critical_point.cache_clear()
-    return cps, roots, tree
+    return cps, roots
 
 
 @pytest.fixture
@@ -153,13 +140,13 @@ def egf_calls(monkeypatch):
 
 class TestBitPins:
     def test_values_are_pinned(self):
-        assert _solved_hex() == (PINNED_CRITICAL_POINTS, PINNED_ROOT1_1357, PINNED_TREE_T1_13)
+        assert _solved_hex() == (PINNED_CRITICAL_POINTS, PINNED_ROOT1_1357)
 
     def test_bisection_ends_when_the_bracket_does(self, monkeypatch):
         # More steps change nothing: the loop stops once the bracket is two
         # adjacent floats, well before the cap.
         monkeypatch.setattr(critical, "_BISECT_STEPS", 200)
-        assert _solved_hex() == (PINNED_CRITICAL_POINTS, PINNED_ROOT1_1357, PINNED_TREE_T1_13)
+        assert _solved_hex() == (PINNED_CRITICAL_POINTS, PINNED_ROOT1_1357)
 
     @pytest.mark.parametrize("spec, budget", [("1,3,5,7", 125), ("all:60", 130)])
     def test_evaluation_budget(self, spec, budget, egf_calls):
@@ -236,58 +223,6 @@ class TestCriticalPoint:
         assert again == first and again is not first
 
 
-class TestTreeSeries:
-    def test_rooted_tree_value_at_singularity(self):
-        # T1(rho) = zhat by construction.
-        ds = parse_degree_set("1,3")
-        cp = critical_point(ds)
-        assert tree_T(ds, 1, cp.rho) == pytest.approx(math.sqrt(2.0), abs=1e-8)
-
-    def test_branching_series_reaches_one(self):
-        ds = parse_degree_set("1,3,5,7")
-        cp = critical_point(ds)
-        assert tree_T(ds, 2, cp.rho) == pytest.approx(1.0, abs=1e-8)
-
-    def test_diverges_beyond_singularity(self):
-        ds = parse_degree_set("1,3")
-        cp = critical_point(ds)
-        with pytest.raises(ConvergenceError):
-            tree_T(ds, 0, cp.rho * 1.01)
-
-    @given(
-        spec=st.sampled_from(["1,3", "1,3,5,7", "0,1,4,5"]),
-        frac=st.floats(0.0, 1.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_fixed_point_residual(self, spec, frac):
-        # tree_T(ds, 1, z) returns T1(z), the solution of T1 = z omega'(T1);
-        # the returned point must satisfy that equation to 1e-13.
-        ds = parse_degree_set(spec)
-        cp = critical_point(ds)
-        z = frac * cp.rho
-        t1 = tree_T(ds, 1, z)
-        if z == 0.0:
-            assert t1 == 0.0
-            return
-        residual = t1 - z * egf_eval(ds, t1, 1)
-        assert abs(residual) < 1e-13 * max(1.0, cp.zhat)
-        assert 0.0 <= t1 <= cp.zhat * (1.0 + 1e-12)
-
-    def test_unrooted_and_unicyclic(self):
-        ds = parse_degree_set("1,3")
-        cp = critical_point(ds)
-        z = 0.5 * cp.rho
-        assert unrooted_U(ds, z) == pytest.approx(
-            tree_T(ds, 0, z) - 0.5 * tree_T(ds, 1, z) ** 2, rel=1e-12
-        )
-        t2 = tree_T(ds, 2, z)
-        assert unicycle_V(ds, z) == pytest.approx(
-            0.5 * (-math.log1p(-t2) - t2 - 0.5 * t2 * t2), rel=1e-12
-        )
-        with pytest.raises(SingularityError):
-            unicycle_V(ds, cp.rho)
-
-
 class TestSaddleGeometry:
     def test_root_solves_mean_degree_equation(self):
         ds = parse_degree_set("1,3,5,7")
@@ -341,18 +276,6 @@ class TestSaddleGeometry:
             z = root1(ds, r)
             assert z > 113.6
             assert phi0(ds, z) == pytest.approx(2.0 * r, rel=1e-12)
-
-    def test_exponent_value_unbounded_set(self):
-        # At r = 1/2 and z = 1 the truncated-exponential family gives
-        # h = 0.5 log(omega'/z) + 0.5 log(2 omega - z omega') = 1.
-        ds = parse_degree_set("all:60")
-        val = h_eval(ds, 1.0 + 0.0j, 0.5)
-        assert val.imag == pytest.approx(0.0, abs=1e-12)
-        assert val.real == pytest.approx(1.0, abs=1e-9)
-
-    def test_exponent_rejects_origin(self):
-        with pytest.raises(ValueError):
-            h_eval(parse_degree_set("1,3"), 0.0, 0.5)
 
 
 class TestAngularProfile:

@@ -1,6 +1,6 @@
 """Every import of the package is used where it is made, the package exports
-exactly what it imports, and the theory commands start without the graph
-libraries."""
+exactly what it imports, every error class has a user, and the theory
+commands start without the graph libraries."""
 
 import ast
 import os
@@ -49,6 +49,23 @@ def test_all_is_the_imported_names():
     # A name deleted from its module can then linger in neither list.
     tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
     assert sorted(degwin.__all__) == sorted(imported_names(tree.body))
+
+
+def error_classes() -> list[str]:
+    tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
+    return [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
+
+
+def names_used(path) -> set[str]:
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    return {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+
+
+@pytest.mark.parametrize("name", error_classes())
+def test_every_error_class_is_used(name):
+    # An error class whose last raiser is deleted cannot linger: some module
+    # besides errors.py and __init__.py must name it.
+    assert any(name in names_used(p) for p in MODULES if p.name != "errors.py"), name
 
 
 @pytest.mark.parametrize(

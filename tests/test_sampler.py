@@ -461,6 +461,11 @@ class TestEdgesForMu:
         with pytest.raises(InfeasibleError, match="no admissible edge count"):
             edges_for_mu(parse_degree_set("1,3"), 1, 0.0)
 
+    @pytest.mark.parametrize("mu", [math.nan, math.inf, -math.inf])
+    def test_non_finite_mu_is_out_of_range(self, mu):
+        with pytest.raises(OutOfRangeError, match="mu must be finite"):
+            edges_for_mu(parse_degree_set("1,3"), 50, mu)
+
     def test_realized_mu_consistent(self):
         from degwin.critical import critical_point
 
