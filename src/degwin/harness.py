@@ -131,7 +131,11 @@ def load_config_file(path) -> dict[str, str]:
 
 
 def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
-    """Build a config from string-valued (file) or typed (flag) entries."""
+    """Build a config from string-valued (file) or typed (flag) entries.
+
+    A ``mu`` or ``m`` entry must name at least one value; leaving both out
+    gives the config's default, the single point mu = 0.
+    """
     kwargs = {}
     for key, value in mapping.items():
         if key not in _CONFIG_CONVERTERS:
@@ -141,6 +145,9 @@ def config_from_mapping(mapping: dict[str, object]) -> ExperimentConfig:
                 value = _CONFIG_CONVERTERS[key](value)
             except ValueError:
                 raise OutOfRangeError(f"config key {key!r}: bad value {value!r}") from None
+        if key in _CONFIG_FIELDS and not value:
+            noun = "window location" if key == "mu" else "edge count"
+            raise OutOfRangeError(f"config key {key!r} names no {noun}")
         kwargs[_CONFIG_FIELDS.get(key, key)] = value
     if "degrees" not in kwargs:
         raise OutOfRangeError("no degrees: give --degrees or a degrees = ... config line")

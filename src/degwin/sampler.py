@@ -6,7 +6,10 @@ precomputed weight table S[i][j] = sum of those products over length-i prefix
 sequences with sum j.  The table is kept in log space and built row by row,
 one log-sum-exp over the degrees per cell, so each cell is rounded once; the
 step log-ratios the walk reads are within a few 1e-12 of a long-double build
-(``build_dp``).  A uniform random pairing of the half-edge stubs then
+(``build_dp``).  It stores only the cells the walk can reach, in reduced
+coordinates: with p the degree period, row i holds j = i*min(D) + p*c for
+c = 0 ... (2m - n*min(D))/p, and a degree d moves c by (d - min(D))/p
+(``DPTable``).  A uniform random pairing of the half-edge stubs then
 produces a multigraph, and pairings are rejected until the result is simple.
 Each simple graph with a given degree sequence arises from exactly
 prod_v d_v! pairings, so the two factors cancel and accepted graphs are
@@ -50,24 +53,57 @@ _ROUND_ROWS = 64
 
 @dataclass(frozen=True)
 class DPTable:
-    """Log-space prefix-weight table; ``logw[i][j] = log S[i][j]``.
+    """Log-space prefix-weight table in reduced coordinates.
 
     S[i][j] sums prod 1/d_v! over length-i sequences in D with sum j; zero
-    weight is the sentinel -inf.  Immutable and shared read-only across
-    trials.
+    weight is the sentinel -inf.  Row i of ``logw`` holds S[i][j] for
+    j = i*low + period*c at column pad + c, c = 0 ... C with
+    C = (two_m - n*low)/period: every other j of the row either has the
+    wrong residue modulo the degree period (zero weight) or lies above
+    two_m - (n-i)*low, which no walk from (n, two_m) reaches.  The pad
+    columns left of c = 0 are -inf, one per unit of the largest step
+    (max(D) - low)/period, so a step below c = 0 reads the zero sentinel.
+    Read single cells through ``log_weight``.  Immutable and shared
+    read-only across trials.
     """
 
     n: int
     two_m: int
     logw: np.ndarray
+    low: int
+    period: int
+
+    @property
+    def pad(self) -> int:
+        """Columns of -inf left of c = 0 in every row."""
+        return self.logw.shape[1] - 1 - (self.two_m - self.n * self.low) // self.period
+
+    def log_weight(self, i: int, j: int) -> float:
+        """log S[i][j]; -inf for a j of the wrong residue or below i*low.
+
+        Raises OutOfRangeError for a row outside 0 ... n, and for j above
+        two_m - (n-i)*low, a state no walk from (n, two_m) reaches and the
+        table does not store.
+        """
+        if not 0 <= i <= self.n:
+            raise OutOfRangeError(f"row i={i} outside the table (n={self.n})")
+        if j > self.two_m - (self.n - i) * self.low:
+            raise OutOfRangeError(
+                f"state (i={i}, j={j}) is unreachable from "
+                f"(n={self.n}, 2m={self.two_m})"
+            )
+        c, r = divmod(j - i * self.low, self.period)
+        if r or c < 0:
+            return NEG_INF
+        return float(self.logw[i, self.pad + c])
 
     @property
     def feasible(self) -> bool:
-        return bool(np.isfinite(self.logw[self.n, self.two_m]))
+        return bool(np.isfinite(self.log_weight(self.n, self.two_m)))
 
 
 def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
-    """Fill the full (n+1) x (2m+1) weight table in log space.
+    """Fill the reachable band of the weight table in log space.
 
     Row i is S[i][j] = sum_d S[i-1][j-d] / d!, taken as one log-sum-exp per
     cell over the degrees: the terms log S[i-1][j-d] - log d! of every cell
@@ -75,9 +111,15 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
     value, exponentiated, summed and logged, so each cell is rounded once.
     Against a long-double build of the same recurrence the step log-ratios
     log S[i-1][j-d] - log S[i][j] that the walk reads are off by at most
-    3e-12 for ``all:60`` at n = 2048, 2m = 2048.  Only the cells that can
-    be finite are computed: i*min(D) <= j <= i*max(D), in the residue class
-    of i*min(D) modulo the degree period; the others stay -inf.
+    3e-12 for ``all:60`` at n = 2048, 2m = 2048.
+
+    In the reduced coordinates of ``DPTable`` the recurrence has unit
+    stride, S'[i][c] = sum_d S'[i-1][c - (d - min(D))/p] / d!, and only
+    c <= min(i*(max(D) - min(D))/p, C) can be finite, so only those cells
+    are computed.  The table is (n+1) x (pad + C + 1) floats: for
+    ``1,3,5,7`` at n = 1000 (p = 2) 0.6-2.9 MB over mu = -2 ... +2 instead
+    of 9.3-13.9 MB for the full (n+1) x (2m+1) table; a set with
+    min(D) = 0 and p = 1 such as ``all:60`` keeps the full width.
 
     Raises InfeasibleError when no sequence over ``ds`` of length n sums to
     ``two_m`` (the corner weight is the zero sentinel), e.g. on parity
@@ -91,45 +133,45 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
         raise InfeasibleError(
             f"two_m = {two_m} exceeds n*max(D) = {n * ds.max_degree}"
         )
-    if two_m < n * ds.min_degree:
+    low = ds.min_degree
+    if two_m < n * low:
+        raise InfeasibleError(f"two_m = {two_m} is below n*min(D) = {n * low}")
+    p = periodicity(ds)
+    cmax, residue = divmod(two_m - n * low, p)
+    if residue:
         raise InfeasibleError(
-            f"two_m = {two_m} is below n*min(D) = {n * ds.min_degree}"
+            f"no degree sequence over {ds} of length {n} sums to {two_m}"
         )
     degs, logfact = _degree_arrays(ds, two_m)
-    top = int(degs[-1])
-    p = periodicity(ds)
-    # top columns of -inf left of column 0, so that S[i-1][j-d] with j < d
-    # reads the zero sentinel; logw is the view from column 0 on.
-    padded = np.full((n + 1, top + two_m + 1), NEG_INF)
-    logw = padded[:, top:]
-    logw[0, 0] = 0.0
-    shifts = [(top - d, lf) for d, lf in zip(degs.tolist(), logfact.tolist())]
-    width = two_m // p + 1
-    terms = np.empty(len(shifts) * width)
-    peak = np.empty(width)
+    steps = ((degs - low) // p).tolist()
+    pad = steps[-1]
+    logw = np.full((n + 1, pad + cmax + 1), NEG_INF)
+    logw[0, pad] = 0.0
+    shifts = [(pad - s, lf) for s, lf in zip(steps, logfact.tolist())]
+    terms = np.empty(len(shifts) * (cmax + 1))
+    peak = np.empty(cmax + 1)
     with np.errstate(divide="ignore"):
         for i in range(1, n + 1):
-            lo = i * ds.min_degree
-            cols = (min(i * top, two_m) - lo) // p + 1
-            stop = lo + (cols - 1) * p + 1
+            cols = min(i * pad, cmax) + 1
             y = terms[: len(shifts) * cols].reshape(len(shifts), cols)
-            prev = padded[i - 1]
+            prev = logw[i - 1]
             for k, (s, lf) in enumerate(shifts):
-                np.subtract(prev[lo + s : stop + s : p], lf, out=y[k])
+                np.subtract(prev[s : s + cols], lf, out=y[k])
             # A finite floor instead of -inf for cells with no finite term:
             # there y - mx stays -inf and the cell comes out log(0) = -inf.
             mx = np.max(y, axis=0, out=peak[:cols], initial=_FLOOR)
             y -= mx
             np.exp(y, out=y)
-            row = logw[i, lo:stop:p]
+            row = logw[i, pad : pad + cols]
             np.sum(y, axis=0, out=row)
             np.log(row, out=row)
             row += mx
-    if not np.isfinite(logw[n, two_m]):
+    dp = DPTable(n=n, two_m=two_m, logw=logw, low=low, period=p)
+    if not dp.feasible:
         raise InfeasibleError(
             f"no degree sequence over {ds} of length {n} sums to {two_m}"
         )
-    return DPTable(n=n, two_m=two_m, logw=logw)
+    return dp
 
 
 def _degree_arrays(ds: DegreeSet, two_m: int):
@@ -146,26 +188,23 @@ def _walk_batch(
 
     Row t consumes u_block[t, 0], u_block[t, 1], ... for coordinates
     d_n, d_{n-1}, ..., d_1, exactly as the scalar recursion would; its
-    sequence does not depend on which other rows share the block.
+    sequence does not depend on which other rows share the block.  Each
+    row carries its column in ``dp.logw`` (the reduced coordinate c plus
+    the pad), which starts at the corner (n, 2m), the last column.
     """
     t_count, n = u_block.shape
     logw = dp.logw
-    j = np.full(t_count, dp.two_m, dtype=np.int64)
+    steps = (degs - dp.low) // dp.period
+    col = np.full(t_count, logw.shape[1] - 1, dtype=np.int64)
     seq = np.empty((t_count, n), dtype=np.int64)
     top = len(degs) - 1
     for i in range(n, 0, -1):
-        prev = logw[i - 1]
-        idx = j[:, None] - degs
-        if j.min() >= degs[-1]:
-            lw = prev[idx]
-        else:
-            ok = idx >= 0
-            lw = np.where(ok, prev[np.where(ok, idx, 0)], NEG_INF)
+        lw = logw[i - 1][col[:, None] - steps]
         # In place, but the same operations in the same order as
         # exp((log S[i-1][j-d] - log d!) - log S[i][j]) followed by a
         # running sum, so the draws are bit-for-bit those of the recursion.
         lw -= logfact
-        lw -= logw[i, j][:, None]
+        lw -= logw[i, col][:, None]
         cum = np.cumsum(np.exp(lw, out=lw), axis=1, out=lw)
         total = cum[:, -1]
         if not total.min() > 0:
@@ -174,10 +213,9 @@ def _walk_batch(
             )
         k = (cum <= (u_block[:, n - i] * total)[:, None]).sum(axis=1)
         np.minimum(k, top, out=k)
-        chosen = degs[k]
-        seq[:, i - 1] = chosen
-        j -= chosen
-    if np.any(j != 0):
+        seq[:, i - 1] = degs[k]
+        col -= steps[k]
+    if np.any(col != dp.pad):
         raise RuntimeError("sequence walk failed to consume the stub budget")
     return seq
 
@@ -190,13 +228,12 @@ def step_distribution(dp: DPTable, ds: DegreeSet, i: int, j: int) -> dict[int, f
     """
     if not (1 <= i <= dp.n and 0 <= j <= dp.two_m):
         raise OutOfRangeError(f"step (i={i}, j={j}) outside the table")
-    if not np.isfinite(dp.logw[i, j]):
+    here = dp.log_weight(i, j)
+    if not np.isfinite(here):
         raise InfeasibleError(f"state (i={i}, j={j}) has zero weight")
     degs, logfact = _degree_arrays(ds, dp.two_m)
-    idx = j - degs
-    ok = idx >= 0
-    lw = np.where(ok, dp.logw[i - 1][np.where(ok, idx, 0)], NEG_INF) - logfact
-    weights = np.exp(lw - dp.logw[i, j])
+    lw = np.array([dp.log_weight(i - 1, j - d) for d in degs.tolist()]) - logfact
+    weights = np.exp(lw - here)
     weights /= weights.sum()
     return {int(d): float(p) for d, p in zip(degs, weights)}
 

@@ -190,6 +190,30 @@ def logaddexp_table(degrees, n: int, two_m: int) -> np.ndarray:
     return logw
 
 
+def full_table_walk(logw, degs, logfact, u_block) -> np.ndarray:
+    """The sequence walk over a full (n+1) x (2m+1) table indexed by the
+    stub sum j itself: row t of ``u_block`` draws d_n, ..., d_1 in turn with
+    weights exp(log S[i-1][j-d] - log d! - log S[i][j]), a step below j = 0
+    having weight zero.  The float operations per step are the sampler's,
+    so on the same cells it draws the same sequences."""
+    t_count, n = u_block.shape
+    j = np.full(t_count, logw.shape[1] - 1, dtype=np.int64)
+    seq = np.empty((t_count, n), dtype=np.int64)
+    for i in range(n, 0, -1):
+        idx = j[:, None] - degs
+        ok = idx >= 0
+        lw = np.where(ok, logw[i - 1][np.where(ok, idx, 0)], -np.inf)
+        lw -= logfact
+        lw -= logw[i, j][:, None]
+        cum = np.cumsum(np.exp(lw), axis=1)
+        k = (cum <= (u_block[:, n - i] * cum[:, -1])[:, None]).sum(axis=1)
+        chosen = degs[np.minimum(k, len(degs) - 1)]
+        seq[:, i - 1] = chosen
+        j -= chosen
+    assert not np.any(j), "walk did not end at j = 0"
+    return seq
+
+
 def h_eval(degrees, z: complex, r: float) -> complex:
     """Saddle exponent h(z; r) = r log(omega'(z) / z) + (1 - r) log(2 omega(z)
     - z omega'(z)) with principal-branch logarithms, omega summed term by

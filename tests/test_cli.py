@@ -156,6 +156,8 @@ class TestPackageErrors:
             (["predict", "--degrees", "1,3", "--mu="], "OutOfRangeError", "no window location"),
             (["sample", "--degrees", "1,3", "--n", "50", "--mu", "inf", "--seed", "1"], "OutOfRangeError", "mu must be finite"),
             (["experiment", "--degrees", "1,3", "--n", "50", "--mu=nan"], "OutOfRangeError", "mu must be finite"),
+            (["experiment", "--degrees", "1,3", "--n", "50", "--mu=", "--trials", "1"], "OutOfRangeError", "no window location"),
+            (["experiment", "--degrees", "1,3", "--n", "50", "--m=", "--trials", "1"], "OutOfRangeError", "no edge count"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -167,6 +169,7 @@ class TestPackageErrors:
             ("bogus line\n", "expected key=value"),
             ("degrees = 1,3\nbogus = 1\n", "unknown key"),
             ("degrees = 1,3\ntrials = abc\n", "trials"),
+            ("degrees = 1,3\nn = 50\nmu =\n", "no window location"),
         ],
     )
     def test_config_file_errors(self, config, text, tmp_path, capsys):

@@ -16,7 +16,7 @@ from scipy import stats as scipy_stats
 
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
-from degwin.errors import InfeasibleError, MaxAttemptsError
+from degwin.errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from degwin.harness import (
     ACCEPT_SLACK,
     CSV_COLUMNS,
@@ -198,9 +198,15 @@ class TestConfigFile:
         assert cfg.ms == (10, 12)
         assert cfg.mus == ()
 
-    def test_empty_mu_value_falls_back_to_default(self):
-        cfg = config_from_mapping({"degrees": "1,3", "mu": ""})
-        assert cfg.mus == (0.0,)
+    def test_empty_list_is_refused(self):
+        # An empty file value and an empty flag list alike, for mu and m.
+        for key in ("mu", "m"):
+            for value in ("", " , ", ()):
+                with pytest.raises(OutOfRangeError, match=f"{key!r} names no"):
+                    config_from_mapping({"degrees": "1,3", key: value})
+
+    def test_no_list_means_mu_zero(self):
+        assert config_from_mapping({"degrees": "1,3"}).mus == (0.0,)
 
     def test_typed_values_pass_through(self):
         cfg = config_from_mapping({"degrees": "1,3", "n": 64, "mu": (1.0,)})

@@ -32,6 +32,7 @@ from oracles import (
     enumerate_matchings,
     enumerate_sequences,
     enumerate_simple_graphs,
+    full_table_walk,
     logaddexp_table,
 )
 
@@ -62,8 +63,8 @@ class TestWeightTable:
     def test_prefix_weights(self):
         ds = parse_degree_set("1,3")
         dp = build_dp(ds, 4, 6)
-        assert math.exp(dp.logw[2, 2]) == pytest.approx(1.0, rel=1e-12)
-        assert math.exp(dp.logw[4, 6]) == pytest.approx(2.0 / 3.0, rel=1e-12)
+        assert math.exp(dp.log_weight(2, 2)) == pytest.approx(1.0, rel=1e-12)
+        assert math.exp(dp.log_weight(4, 6)) == pytest.approx(2.0 / 3.0, rel=1e-12)
         assert dp.feasible
 
     @pytest.mark.parametrize("spec", FAMILIES)
@@ -76,7 +77,7 @@ class TestWeightTable:
                     continue
                 dp = build_dp(ds, n, two_m)
                 want = float(sum(table.values(), Fraction(0)))
-                assert math.exp(dp.logw[n, two_m]) == pytest.approx(want, rel=1e-12)
+                assert math.exp(dp.log_weight(n, two_m)) == pytest.approx(want, rel=1e-12)
 
     def test_parity_infeasible(self):
         with pytest.raises(InfeasibleError, match="sums to"):
@@ -91,6 +92,41 @@ class TestWeightTable:
         with pytest.raises(InfeasibleError, match="exceeds"):
             build_dp(ds, 2, 8)
 
+    def test_unreachable_state_raises(self):
+        # From (n, 2m) = (4, 6) with min(D) = 1, row 2 is reached with at
+        # most 6 - 2*1 = 4 stubs; S[2][6] is positive but never read.
+        ds = parse_degree_set("1,3")
+        dp = build_dp(ds, 4, 6)
+        assert math.exp(dp.log_weight(2, 4)) == pytest.approx(1.0 / 3.0, rel=1e-12)
+        for i, j in ((2, 5), (2, 6), (0, 3), (3, 6), (4, 7)):
+            with pytest.raises(OutOfRangeError, match="unreachable"):
+                dp.log_weight(i, j)
+        for i in (-1, 5):
+            with pytest.raises(OutOfRangeError, match="outside"):
+                dp.log_weight(i, 0)
+        with pytest.raises(OutOfRangeError, match="unreachable"):
+            step_distribution(dp, ds, 2, 6)
+
+    @pytest.mark.parametrize("spec", ("1,3", "1,3,5,7", "0,1,4,5", "pow2:16", "all:60"))
+    def test_table_is_the_reachable_band(self, spec):
+        ds = parse_degree_set(spec)
+        n = ORACLE_N
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            m, _ = edges_for_mu(ds, n, 0.0)
+        dp = build_dp(ds, n, 2 * m)
+        low, high = ds.degrees[0], ds.degrees[-1]
+        p = math.gcd(*(d - low for d in ds.degrees))
+        assert (2 * m - n * low) % p == 0
+        pad, c_max = (high - low) // p, (2 * m - n * low) // p
+        assert dp.logw.shape == (n + 1, pad + c_max + 1)
+        assert np.isneginf(dp.logw[:, :pad]).all()
+
+    def test_window_table_size(self):
+        ds = parse_degree_set("1,3,5,7")
+        m, _ = edges_for_mu(ds, 1000, 2.0)
+        assert build_dp(ds, 1000, 2 * m).logw.nbytes < 3.0e6
+
 
 # Families for the comparison with the logaddexp-chain table: a parity
 # family, one with degree 0 and gaps, the paper's window family, a sparse
@@ -99,12 +135,24 @@ ORACLE_FAMILIES = ("1,3", "0,1,4,5", "1,3,5,7", "pow2:16", "all:60")
 ORACLE_N = 300
 
 
-def _oracle_table(spec):
+def _oracle_table(spec, n=ORACLE_N, mu=0.0):
     ds = parse_degree_set(spec)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        m, _ = edges_for_mu(ds, ORACLE_N, 0.0)
-    return ds, build_dp(ds, ORACLE_N, 2 * m)
+        m, _ = edges_for_mu(ds, n, mu)
+    return ds, build_dp(ds, n, 2 * m)
+
+
+def _reachable(dp, i):
+    """The stub sums j of row i that a walk from (n, 2m) can reach."""
+    return range(dp.two_m - (dp.n - i) * dp.low + 1)
+
+
+# The oracle families at n = 300, mu = 0, and the paper's window family at
+# the largest table of the window sweep.
+DRAW_CASES = [pytest.param(spec, ORACLE_N, 0.0, id=spec) for spec in ORACLE_FAMILIES] + [
+    pytest.param("1,3,5,7", 1000, 2.0, id="1,3,5,7-n1000-mu+2")
+]
 
 
 class TestLogSumExpRows:
@@ -112,18 +160,37 @@ class TestLogSumExpRows:
     def test_matches_logaddexp_chain(self, spec):
         ds, dp = _oracle_table(spec)
         want = logaddexp_table(ds.degrees, dp.n, dp.two_m)
-        finite = np.isfinite(want)
-        assert np.array_equal(np.isfinite(dp.logw), finite)
-        assert np.max(np.abs(dp.logw[finite] - want[finite])) <= 1e-10
+        worst = 0.0
+        for i in range(dp.n + 1):
+            for j in _reachable(dp, i):
+                got = dp.log_weight(i, j)
+                assert np.isfinite(got) == np.isfinite(want[i, j]), (i, j)
+                if np.isfinite(got):
+                    worst = max(worst, abs(got - want[i, j]))
+        assert worst <= 1e-10
 
-    @pytest.mark.parametrize("spec", ORACLE_FAMILIES)
-    def test_draws_match_logaddexp_chain(self, spec):
-        ds, dp = _oracle_table(spec)
-        chain = sampler.DPTable(dp.n, dp.two_m, logaddexp_table(ds.degrees, dp.n, dp.two_m))
+    @pytest.mark.parametrize("spec, n, mu", DRAW_CASES)
+    def test_draws_match_logaddexp_chain(self, spec, n, mu):
+        ds, dp = _oracle_table(spec, n, mu)
+        chain = logaddexp_table(ds.degrees, dp.n, dp.two_m)
         degs, logfact = sampler._degree_arrays(ds, dp.two_m)
         u_block = np.random.default_rng(2017).random((512, dp.n))
         got = sampler._walk_batch(dp, degs, logfact, u_block)
-        assert np.array_equal(got, sampler._walk_batch(chain, degs, logfact, u_block))
+        assert np.array_equal(got, full_table_walk(chain, degs, logfact, u_block))
+
+    @pytest.mark.parametrize("spec, n, mu", DRAW_CASES)
+    def test_draws_match_full_table_walk_on_the_same_cells(self, spec, n, mu):
+        # The band spread back out to the (n+1) x (2m+1) table: the banded
+        # walk does the same float operations on the same cells.
+        ds, dp = _oracle_table(spec, n, mu)
+        full = np.full((dp.n + 1, dp.two_m + 1), -np.inf)
+        for i in range(dp.n + 1):
+            for j in _reachable(dp, i):
+                full[i, j] = dp.log_weight(i, j)
+        degs, logfact = sampler._degree_arrays(ds, dp.two_m)
+        u_block = np.random.default_rng(2018).random((512, dp.n))
+        got = sampler._walk_batch(dp, degs, logfact, u_block)
+        assert np.array_equal(got, full_table_walk(full, degs, logfact, u_block))
 
     @pytest.mark.parametrize("spec", ("1,3", "1,2,3", "0,1,4,5", "all:10"))
     def test_every_cell_is_exact_at_small_n(self, spec):
@@ -135,10 +202,13 @@ class TestLogSumExpRows:
         for i in range(n + 1):
             for j in range(dp.two_m + 1):
                 exact = sampler._exact_weight_sum(ds.degrees, i, j)
-                if exact == 0:
-                    assert dp.logw[i, j] == -np.inf, (i, j)
+                if j not in _reachable(dp, i):
+                    # At 2m = n*max(D) the band holds every positive cell.
+                    assert exact == 0, (i, j)
+                elif exact == 0:
+                    assert dp.log_weight(i, j) == -np.inf, (i, j)
                 else:
-                    assert math.exp(dp.logw[i, j]) == pytest.approx(float(exact), rel=1e-12), (i, j)
+                    assert math.exp(dp.log_weight(i, j)) == pytest.approx(float(exact), rel=1e-12), (i, j)
 
     def test_no_degree_fits_the_budget(self):
         # 2m = 0 is below min(D) = 1: no degree survives the d <= 2m filter.
@@ -147,8 +217,8 @@ class TestLogSumExpRows:
 
     def test_single_vertex(self):
         dp = build_dp(parse_degree_set("1,3"), 1, 3)
-        assert math.exp(dp.logw[1, 3]) == pytest.approx(1.0 / 6.0, rel=1e-15)
-        assert np.isneginf(dp.logw[1, [0, 2]]).all()
+        assert math.exp(dp.log_weight(1, 3)) == pytest.approx(1.0 / 6.0, rel=1e-15)
+        assert dp.log_weight(1, 0) == dp.log_weight(1, 2) == -np.inf
 
     def test_parity_cells_build_without_warnings(self):
         with warnings.catch_warnings():
@@ -156,8 +226,9 @@ class TestLogSumExpRows:
             dp = build_dp(parse_degree_set("1,3"), 9, 9)
         assert dp.feasible
         # Odd rows hold odd sums only, even rows even sums.
-        assert np.isneginf(dp.logw[9, 0::2]).all() and np.isfinite(dp.logw[9, 9])
-        assert np.isneginf(dp.logw[8, 1::2]).all()
+        assert all(dp.log_weight(9, j) == -np.inf for j in range(0, 10, 2))
+        assert np.isfinite(dp.log_weight(9, 9))
+        assert all(dp.log_weight(8, j) == -np.inf for j in range(1, 9, 2))
 
 
 class TestStepDistribution:
@@ -176,8 +247,8 @@ class TestStepDistribution:
         n = 5
         dp = build_dp(ds, n, two_m)
         for i in range(1, n + 1):
-            for j in range(two_m + 1):
-                if not np.isfinite(dp.logw[i, j]):
+            for j in _reachable(dp, i):
+                if not np.isfinite(dp.log_weight(i, j)):
                     continue
                 law = step_distribution(dp, ds, i, j)
                 weights = {
