@@ -14,7 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from pathlib import Path
 
 from .asymptotics import predict, twopath_constants
 from .critical import critical_point
@@ -112,6 +114,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_out(path) -> None:
+    """Refuse an unwritable output path before any work; leave a file there as it is."""
+    target = Path(path)
+    if target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
+        raise OutOfRangeError(f"cannot write {path}: not a writable file path")
+
+
 def _cmd_threshold(args) -> int:
     ds = parse_degree_set(args.degrees)
     cp = critical_point(ds)
@@ -165,6 +174,8 @@ def _cmd_predict(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:
         raise OutOfRangeError(f"count must be >= 0, got {args.count}")
+    if args.out:
+        _check_out(args.out)
     ds = parse_degree_set(args.degrees)
     if args.m is not None:
         m = args.m
@@ -180,17 +191,14 @@ def _cmd_sample(args) -> int:
         lines.extend(to_jsonl_line(g) for g in graphs)
     text = "".join(line + "\n" for line in lines)
     if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
     return 0
 
 
 def _cmd_experiment(args) -> int:
-    mapping: dict[str, object] = {}
-    if args.config:
-        mapping.update(load_config_file(args.config))
+    mapping: dict[str, object] = load_config_file(args.config) if args.config else {}
     for key in _CONFIG_CONVERTERS:
         if key == "max_attempts":  # a config-file key with no flag
             continue
@@ -198,6 +206,8 @@ def _cmd_experiment(args) -> int:
         if value is not None:
             mapping[key] = value
     cfg = config_from_mapping(mapping)
+    if cfg.out:
+        _check_out(cfg.out)
     rt = run_experiment(cfg)
     if cfg.out:
         emit(rt, args.format, cfg.out)

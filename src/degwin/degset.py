@@ -266,68 +266,5 @@ def phi1(ds: DegreeSet, z: float) -> float:
 
 def periodicity(ds: DegreeSet) -> int:
     """gcd of the pairwise differences of the degrees."""
-    dmin = ds.degrees[0]
-    g = 0
-    for d in ds.degrees[1:]:
-        g = math.gcd(g, d - dmin)
-    return g if g > 0 else 1
+    return math.gcd(*(d - ds.min_degree for d in ds.degrees[1:])) or 1
 
-
-@dataclass(frozen=True)
-class ConditionReport:
-    """Outcome of the admissibility check for (degrees, n, m)."""
-
-    ok: bool
-    lower_ok: bool
-    upper_ok: bool
-    residue_ok: bool
-    periodicity: int
-    n: int
-    m: int
-
-    @property
-    def failures(self) -> list[str]:
-        out = []
-        if not self.lower_ok:
-            out.append(
-                f"2m = {2 * self.m} must strictly exceed n*min(D) "
-                f"(all-minimum-degree boundary)"
-            )
-        if not self.upper_ok:
-            out.append(
-                f"2m = {2 * self.m} must be strictly below n*max(D) "
-                f"(all-maximum-degree boundary)"
-            )
-        if not self.residue_ok:
-            out.append(
-                f"2m - n*min(D) must be divisible by the degree period "
-                f"p = {self.periodicity}"
-            )
-        return out
-
-
-def check_condition_C(ds: DegreeSet, n: int, m: int) -> ConditionReport:
-    """Admissibility of (n, m): strict boundary bounds plus the residue test.
-
-    A degree sequence with n terms in D summing to 2m exists for large n iff
-    min(D)*n < 2m < max(D)*n and p | (2m - n*min(D)) where p is the degree
-    period; small-n corner cases are caught later by the sampler's exact count.
-    """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise ValueError(f"m must be >= 0, got {m}")
-    p = periodicity(ds)
-    two_m = 2 * m
-    lower_ok = two_m > ds.min_degree * n
-    upper_ok = two_m < ds.max_degree * n
-    residue_ok = (two_m - n * ds.min_degree) % p == 0
-    return ConditionReport(
-        ok=lower_ok and upper_ok and residue_ok,
-        lower_ok=lower_ok,
-        upper_ok=upper_ok,
-        residue_ok=residue_ok,
-        periodicity=p,
-        n=n,
-        m=m,
-    )

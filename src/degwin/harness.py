@@ -20,6 +20,7 @@ import io
 import json
 import math
 import warnings
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, fields
 from pathlib import Path
@@ -115,9 +116,15 @@ _CONFIG_FIELDS = {"mu": "mus", "m": "ms"}
 
 
 def load_config_file(path) -> dict[str, str]:
-    """Flat key=value text; blank lines and '#' comments are ignored."""
+    """Flat key=value text; blank lines and '#' comments are ignored, and a
+    key may be given once."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise OutOfRangeError(f"cannot read config file {path}: {reason}") from None
     out: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -126,6 +133,8 @@ def load_config_file(path) -> dict[str, str]:
         key, value = (part.strip() for part in line.split("=", 1))
         if key not in _CONFIG_CONVERTERS:
             raise OutOfRangeError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in out:
+            raise OutOfRangeError(f"{path}:{lineno}: key {key!r} given twice")
         out[key] = value
     return out
 
@@ -169,18 +178,26 @@ class ExperimentPoint:
 
 
 def resolve_points(cfg: ExperimentConfig, ds: DegreeSet) -> tuple[ExperimentPoint, ...]:
+    """Every (n, list entry) of the sweep with its edge count; two entries
+    that give one m at some n are refused, since their rows would merge."""
     cp = critical_point(ds)
+    key, values = ("m", cfg.ms) if cfg.ms else ("mu", cfg.mus)
     points = []
     for n in cfg.n:
         scale = float(n) ** (1.0 / 3.0)
-        if cfg.ms:
-            for i, m in enumerate(cfg.ms):
-                mu = (m / (cp.alpha * n) - 1.0) * scale
-                points.append(ExperimentPoint(i, n, None, m, _round9(mu)))
-        else:
-            for i, mu in enumerate(cfg.mus):
-                m, realized = edges_for_mu(ds, n, mu)
-                points.append(ExperimentPoint(i, n, mu, m, _round9(realized)))
+        first: dict[int, int] = {}
+        for i, value in enumerate(values):
+            if cfg.ms:
+                m, mu = value, (value / (cp.alpha * n) - 1.0) * scale
+            else:
+                m, mu = edges_for_mu(ds, n, value)
+            j = first.setdefault(m, i)
+            if j != i:
+                raise OutOfRangeError(
+                    f"{key}[{j}] = {values[j]} and {key}[{i}] = {value} "
+                    f"both give m = {m} at n = {n}"
+                )
+            points.append(ExperimentPoint(i, n, None if cfg.ms else value, m, _round9(mu)))
     return tuple(points)
 
 
@@ -275,9 +292,7 @@ def aggregate_rows(rows) -> tuple[PointAggregate, ...]:
         mus = {r.realized_mu for r in grp}
         if len(mus) != 1:
             raise ValueError(f"inconsistent realized_mu within point (n={n}, m={m})")
-        hist: dict[int, int] = {}
-        for r in grp:
-            hist[r.total_excess] = hist.get(r.total_excess, 0) + 1
+        hist = Counter(r.total_excess for r in grp)
         complex_rows = [r for r in grp if r.total_excess > 0]
         low_rows = [r for r in grp if r.total_excess <= PLANAR_Q_MAX]
         mean_d, se_d = _mean_se([r.complex_diameter for r in complex_rows])
@@ -390,28 +405,22 @@ def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     ds = parse_degree_set(cfg.degrees)
     points = resolve_points(cfg, ds)
     rows: list[TrialRow] = []
+
+    def table() -> ResultTable:
+        return ResultTable(cfg.degrees, cfg.seed, tuple(rows), aggregate_rows(rows))
+
     for point in points:
         try:
             summaries = _run_point(cfg, ds, point)
         except (InfeasibleError, MaxAttemptsError) as exc:
             err = type(exc)(f"point {point.index} (n={point.n}, m={point.m}): {exc}")
-            err.partial_table = ResultTable(
-                degrees=cfg.degrees,
-                seed=cfg.seed,
-                rows=tuple(rows),
-                aggregates=aggregate_rows(rows),
-            )
+            err.partial_table = table()
             raise err from exc
         rows.extend(
             TrialRow.from_summary(t, point.n, point.m, point.realized_mu, s)
             for t, s in enumerate(summaries)
         )
-    return ResultTable(
-        degrees=cfg.degrees,
-        seed=cfg.seed,
-        rows=tuple(rows),
-        aggregates=aggregate_rows(rows),
-    )
+    return table()
 
 
 @dataclass(frozen=True)
@@ -547,10 +556,8 @@ def compare_theory(
             )
         )
     scalings = []
-    aggs = rt.aggregates
-    for i in range(len(aggs)):
-        for j in range(len(aggs)):
-            a, b = aggs[i], aggs[j]
+    for a in rt.aggregates:
+        for b in rt.aggregates:
             if (
                 a.n < b.n
                 and abs(a.realized_mu - b.realized_mu) <= 0.25

@@ -37,7 +37,7 @@ from functools import lru_cache
 import numpy as np
 
 from .critical import critical_point
-from .degset import DegreeSet, check_condition_C, periodicity
+from .degset import DegreeSet, periodicity
 from .errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from .graph import Graph
 
@@ -419,10 +419,12 @@ def exact_sequence_probability(ds: DegreeSet, n: int, m: int, seq) -> Fraction:
 def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:
     """Edge count hitting the critical window at location ``mu``.
 
-    The raw target is round(alpha * n * (1 + mu * n^(-1/3))); if that count is
-    not admissible, the admissible m nearest the target is used (ties toward
-    larger m) with a warning.  Returns (m, realized_mu) where realized_mu is
-    recomputed from the returned m.
+    A window point uses an admissible m: n*min(D) < 2m < n*max(D), and the
+    degree period p divides 2m - n*min(D).  The target is
+    round(alpha * n * (1 + mu * n^(-1/3))); if it is not admissible, the
+    admissible m nearest it is used (ties toward larger m) with a warning.
+    Returns (m, realized_mu) where realized_mu is recomputed from the
+    returned m.
     """
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
@@ -431,16 +433,14 @@ def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:
     cp = critical_point(ds)
     scale = float(n) ** (1.0 / 3.0)
     base = round(cp.alpha * n * (1.0 + mu / scale))
-    lo = n * ds.min_degree // 2 + 1
+    low, p = ds.min_degree, periodicity(ds)
+    lo = n * low // 2 + 1
     hi = (n * ds.max_degree - 1) // 2
-    span = max(abs(base - lo), abs(hi - base), periodicity(ds))
-    for delta in range(span + 1):
-        for signed in ((delta,) if delta == 0 else (delta, -delta)):
-            m = base + signed
-            if not lo <= m <= hi:
-                continue
-            if check_condition_C(ds, n, m).ok:
-                if signed:
+    start = min(max(base, lo), hi)  # nearest the target within [lo, hi]
+    for delta in range(hi - lo + 1):
+        for m in ((start,) if delta == 0 else (start + delta, start - delta)):
+            if lo <= m <= hi and (2 * m - n * low) % p == 0:
+                if m != base:
                     warnings.warn(
                         f"edge target m={base} is not admissible for {ds}, "
                         f"n={n}; using m={m}",

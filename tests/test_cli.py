@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from degwin import cli, harness
 from degwin.asymptotics import predict, twopath_constants
 from degwin.cli import THRESHOLD_FIELDS, main
 from degwin.critical import critical_point
@@ -117,6 +118,7 @@ class TestPredict:
 
 
 _EXPERIMENT = ["--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "1"]
+_FEASIBLE = ["--degrees", "1,3", "--n", "8", "--m", "4", "--seed", "1"]
 
 
 def _assert_error_line(argv, name, text, capsys):
@@ -158,6 +160,11 @@ class TestPackageErrors:
             (["experiment", "--degrees", "1,3", "--n", "50", "--mu=nan"], "OutOfRangeError", "mu must be finite"),
             (["experiment", "--degrees", "1,3", "--n", "50", "--mu=", "--trials", "1"], "OutOfRangeError", "no window location"),
             (["experiment", "--degrees", "1,3", "--n", "50", "--m=", "--trials", "1"], "OutOfRangeError", "no edge count"),
+            (["experiment", "--degrees", "1,3", "--n", "50", "--mu=0,0.01", "--trials", "1"], "OutOfRangeError",
+             "mu[0] = 0.0 and mu[1] = 0.01 both give m = 38 at n = 50"),
+            (["experiment", "--config", "/no/such/dir/sweep.cfg"], "OutOfRangeError", "cannot read config file"),
+            (["experiment", *_FEASIBLE, "--trials", "1", "--out", "/no/such/dir/rows.csv"], "OutOfRangeError", "cannot write"),
+            (["sample", *_FEASIBLE, "--out", "/no/such/dir/g.jsonl"], "OutOfRangeError", "cannot write"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -170,12 +177,34 @@ class TestPackageErrors:
             ("degrees = 1,3\nbogus = 1\n", "unknown key"),
             ("degrees = 1,3\ntrials = abc\n", "trials"),
             ("degrees = 1,3\nn = 50\nmu =\n", "no window location"),
+            ("degrees = 1,3\nn = 50\nn = 60\n", "sweep.cfg:3: key 'n' given twice"),
         ],
     )
     def test_config_file_errors(self, config, text, tmp_path, capsys):
         path = tmp_path / "sweep.cfg"
         path.write_text(config, encoding="utf-8")
         _assert_error_line(["experiment", "--config", str(path)], "OutOfRangeError", text, capsys)
+
+    @pytest.mark.parametrize("command", ["experiment", "sample"])
+    def test_unwritable_out_fails_before_sampling(self, command, tmp_path, capsys, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sampled before the output path was checked")
+
+        monkeypatch.setattr(harness, "sample_batch", refuse)
+        monkeypatch.setattr(cli, "sample_batch", refuse)
+        argv = [command, *_FEASIBLE]
+        for out in (tmp_path / "missing" / "rows", tmp_path):
+            _assert_error_line([*argv, "--out", str(out)], "OutOfRangeError", "cannot write", capsys)
+
+    @pytest.mark.parametrize("command", ["experiment", "sample"])
+    def test_failed_run_keeps_an_existing_out_file(self, command, tmp_path, capsys):
+        path = tmp_path / "rows"
+        path.write_text("kept\n", encoding="utf-8")
+        # 2m = 6 is below n*min(D) = 8: no degree sequence exists.
+        argv = [command, "--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "1"]
+        assert main([*argv, "--out", str(path)]) == 2
+        assert capsys.readouterr().err.startswith("infeasible:")
+        assert path.read_text(encoding="utf-8") == "kept\n"
 
 
 class TestSample:

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from degwin.critical import critical_point
 from degwin.degset import (
     DegreeSet,
     _power_arrays,
-    check_condition_C,
     egf_eval,
     egf_eval_complex,
     parse_degree_set,
@@ -19,7 +19,8 @@ from degwin.degset import (
     phi0,
     phi1,
 )
-from degwin.errors import DegreeSetError
+from degwin.errors import DegreeSetError, InfeasibleError
+from degwin.sampler import edges_for_mu
 
 FAMILIES = ["1,3", "1,3,5,7", "0,1,4,5", "1,2,3", "all:60", "pow2:64"]
 
@@ -217,27 +218,35 @@ class TestAdmissibility:
     def test_periodicity(self, spec, expected):
         assert periodicity(parse_degree_set(spec)) == expected
 
-    def test_satisfied_case(self):
-        rep = check_condition_C(parse_degree_set("1,3"), n=4, m=3)
-        assert rep.ok and rep.failures == []
-
-    def test_boundaries_are_strict(self):
-        ds = parse_degree_set("1,3")
-        assert not check_condition_C(ds, n=4, m=2).lower_ok  # 2m = n min(D)
-        assert not check_condition_C(ds, n=4, m=6).upper_ok  # 2m = n max(D)
-
-    def test_residue_failure(self):
-        rep = check_condition_C(parse_degree_set("1,4"), n=4, m=3)
-        assert not rep.residue_ok
-        assert any("divisible" in msg for msg in rep.failures)
-
-    @given(
-        spec=st.sampled_from(FAMILIES),
-        n=st.integers(2, 40),
-        m=st.integers(0, 130),
-    )
-    @settings(max_examples=120, deadline=None)
-    def test_report_is_consistent(self, spec, n, m):
-        rep = check_condition_C(parse_degree_set(spec), n, m)
-        assert rep.ok == (rep.lower_ok and rep.upper_ok and rep.residue_ok)
-        assert rep.ok == (rep.failures == [])
+    # In 1,4 (p = 3) and 1,5,9 (p = 4) admissible m are 3 and 2 apart, so
+    # targets fall between two of them, and 1,5,9 has ties.
+    @pytest.mark.parametrize("spec", [*FAMILIES, "1,4", "1,5,9"])
+    def test_edges_for_mu_is_the_nearest_admissible_count(self, spec):
+        # Condition C, written out: n*min(D) < 2m < n*max(D), and the gcd
+        # of the degree differences divides 2m - n*min(D).
+        ds = parse_degree_set(spec)
+        low, high = ds.degrees[0], ds.degrees[-1]
+        p = 0
+        for d in ds.degrees:
+            p = math.gcd(p, d - low)
+        alpha = critical_point(ds).alpha
+        for n in range(1, 41):
+            admissible = [
+                m for m in range(n * high)
+                if n * low < 2 * m < n * high and (2 * m - n * low) % p == 0
+            ]
+            scale = float(n) ** (1.0 / 3.0)
+            for mu in (-1e3, -20.0, -2.5, -0.7, 0.0, 0.3, 1.9, 20.0, 1e3):
+                target = round(alpha * n * (1.0 + mu / scale))
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    if not admissible:
+                        with pytest.raises(InfeasibleError):
+                            edges_for_mu(ds, n, mu)
+                        continue
+                    m, realized = edges_for_mu(ds, n, mu)
+                assert m in admissible, (n, mu, m)
+                # Nearest the target; of two at equal distance, the larger.
+                assert m == min(admissible, key=lambda k: (abs(k - target), -k)), (n, mu)
+                assert realized == (m / (alpha * n) - 1.0) * scale
+                assert len(caught) == (m != target), (n, mu, m, target)

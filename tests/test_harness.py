@@ -174,6 +174,22 @@ class TestConfigFile:
         with pytest.raises(ValueError, match=r"old\.cfg:2: unknown key 'variant'"):
             load_config_file(path)
 
+    def test_repeated_key_reports_location(self, tmp_path):
+        path = tmp_path / "twice.cfg"
+        path.write_text("degrees = 1,3\nn = 50\n\nn = 60\n", encoding="utf-8")
+        with pytest.raises(OutOfRangeError, match=r"twice\.cfg:4: key 'n' given twice"):
+            load_config_file(path)
+
+    def test_unreadable_file_is_a_package_error(self, tmp_path):
+        with pytest.raises(OutOfRangeError, match="cannot read config file"):
+            load_config_file(tmp_path / "absent.cfg")
+        with pytest.raises(OutOfRangeError, match="cannot read config file"):
+            load_config_file(tmp_path)
+        latin1 = tmp_path / "latin1.cfg"
+        latin1.write_bytes(b"degrees = 1,3\nout = caf\xe9.csv\n")
+        with pytest.raises(OutOfRangeError, match="cannot read config file .*utf-8"):
+            load_config_file(latin1)
+
     def test_missing_equals_reports_location(self, tmp_path):
         path = tmp_path / "bad.cfg"
         path.write_text("degrees 1,3\n", encoding="utf-8")
@@ -239,6 +255,21 @@ class TestResolvePoints:
             m, realized = edges_for_mu(ds, 30, p.nominal_mu)
             assert p.m == m
             assert p.realized_mu == pytest.approx(realized, abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "sweep, text",
+        [
+            (dict(ms=(30, 31, 30)), "m[0] = 30 and m[2] = 30 both give m = 30 at n = 50"),
+            (dict(mus=(0.0, 0.01)), "mu[0] = 0.0 and mu[1] = 0.01 both give m = 38 at n = 50"),
+        ],
+    )
+    def test_two_entries_at_one_edge_count_are_refused(self, sweep, text):
+        # Their rows would share (n, m) and merge into one aggregate.
+        cfg = ExperimentConfig(degrees="1,3", n=50, trials=5, seed=1, **sweep)
+        with pytest.raises(OutOfRangeError) as excinfo:
+            run_experiment(cfg)
+        assert str(excinfo.value) == text
+        assert not hasattr(excinfo.value, "partial_table")
 
     def test_centre_point_is_exact_for_integer_target(self):
         ds = parse_degree_set("1,3")

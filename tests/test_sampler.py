@@ -528,6 +528,14 @@ class TestEdgesForMu:
         assert m == 3
         assert realized == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("mu, expected", [(1e9, 1499), (-1e9, 501)])
+    def test_far_target_takes_the_window_edge(self, mu, expected):
+        # The search starts inside the window, so its cost does not grow
+        # with the distance of the target.
+        with pytest.warns(UserWarning, match="not admissible"):
+            m, _ = edges_for_mu(parse_degree_set("1,3"), 1000, mu)
+        assert m == expected
+
     def test_too_small_infeasible(self):
         with pytest.raises(InfeasibleError, match="no admissible edge count"):
             edges_for_mu(parse_degree_set("1,3"), 1, 0.0)

@@ -1,5 +1,6 @@
-"""The benchmark's tracer patches program names by string; a rename in
-``graph`` or ``stats`` must fail here, not in the next traced benchmark run."""
+"""The benchmark's tracer patches program names by string and reads the
+arguments and results of some of them; a rename or a signature change must
+fail here, not in the next traced benchmark run."""
 
 import sys
 from pathlib import Path
@@ -9,7 +10,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "benchmark"))
 
 import tracing  # noqa: E402
-from degwin import graph, stats  # noqa: E402
+from degwin import critical, graph, harness, stats  # noqa: E402
 
 
 def test_install_wraps_every_hook_and_uninstall_restores():
@@ -54,3 +55,34 @@ def test_install_wraps_every_hook_and_uninstall_restores():
     for (module, attr), original in originals.items():
         assert getattr(module, attr) is original, attr
     assert graph.Graph.__dict__["from_simple_arrays"] is raw
+
+
+def test_traced_sweep_emits_every_layer_span():
+    # An empty cache makes critical_point solve, so its EGF calls show.
+    critical.critical_point.cache_clear()
+    cfg = harness.ExperimentConfig("1,3", n=30, trials=4, seed=5)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        table = harness.run_experiment(cfg)
+    finally:
+        tracer.uninstall()
+    assert len(table.rows) == 4
+    spans = tracer.spans
+    seen = {span[0] for span in spans}
+    assert {
+        "harness.run_experiment",
+        "harness.aggregate_rows",
+        "sampler.edges_for_mu",
+        "sampler.sample_batch",
+        "critical.critical_point",
+        "degset.egf_eval",
+        "stats.summarize",
+    } <= seen
+    batches = [span[4] for span in spans if span[0] == "sampler.sample_batch"]
+    assert sum(b["trials"] for b in batches) == 4
+    assert sum(b["attempts"] for b in batches) >= 4
+    assert {b["m"] for b in batches} == {table.rows[0].m}
+    metrics = tracing.layer_metrics(spans, {}, 0.0)
+    assert metrics["sampler.attempts_per_trial"][1] >= 1.0
+    assert metrics["degset.egf_evals_per_solve"][1] > 0
