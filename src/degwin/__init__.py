@@ -1,141 +1,10 @@
 """Critical-window structure of random graphs with constrained degrees.
 
-Degree sets, critical thresholds, window predictions, exact uniform sampling,
-kernel-based structure statistics, and a reproducible experiment harness.
+The Python API is the modules, one per pipeline stage, and importing the
+package loads none of them: ``degset`` (degree sets), ``critical`` (critical
+point and window constants), ``asymptotics`` (window predictions),
+``sampler`` (exact uniform sampling), ``graph`` and ``stats`` (kernel
+decomposition and complex-part statistics), ``harness`` (seeded sweeps and
+their comparison with theory), ``verify`` (invariant suite), ``cli`` (the
+``degwin`` command) and ``errors``.
 """
-
-from .asymptotics import (
-    TheoryPrediction,
-    TwoPathConstants,
-    VARIANTS,
-    bigA_classical,
-    bigA_delta,
-    bigB,
-    expected_attempts,
-    planar_c,
-    predict,
-    rejection_rate,
-    twopath_constants,
-    wright_e,
-)
-from .critical import (
-    CriticalPoint,
-    PetrovProfile,
-    critical_point,
-    petrov_profile,
-    root1,
-)
-from .degset import (
-    DegreeSet,
-    parse_degree_set,
-    periodicity,
-    phi0,
-    phi1,
-)
-from .errors import (
-    ConvergenceError,
-    DegreeSetError,
-    DegwinError,
-    InfeasibleError,
-    MaxAttemptsError,
-    NoCriticalPointError,
-    OutOfRangeError,
-)
-from .graph import (
-    Graph,
-    KernelMultigraph,
-    compensation_factor,
-    components,
-    kernel,
-    two_core,
-)
-from .harness import (
-    ExperimentConfig,
-    PointAggregate,
-    ResultTable,
-    TheoryReport,
-    TrialRow,
-    compare_theory,
-    parse_csv,
-    run_experiment,
-)
-from .sampler import (
-    DPTable,
-    build_dp,
-    edges_for_mu,
-    exact_sequence_probability,
-    pair_configuration,
-    sample_batch,
-    sample_degree_sequence,
-    sample_simple_graph,
-    step_distribution,
-    trial_generator,
-)
-from .stats import GraphSummary, circumference, diameter, is_planar, longest_path, summarize
-from .verify import VerifyReport, run_verify
-
-__version__ = "0.1.0"
-
-__all__ = [
-    "ConvergenceError",
-    "CriticalPoint",
-    "DegreeSet",
-    "DegreeSetError",
-    "DegwinError",
-    "DPTable",
-    "ExperimentConfig",
-    "Graph",
-    "GraphSummary",
-    "InfeasibleError",
-    "KernelMultigraph",
-    "MaxAttemptsError",
-    "NoCriticalPointError",
-    "OutOfRangeError",
-    "PetrovProfile",
-    "PointAggregate",
-    "ResultTable",
-    "TheoryPrediction",
-    "TheoryReport",
-    "TrialRow",
-    "TwoPathConstants",
-    "VARIANTS",
-    "VerifyReport",
-    "bigA_classical",
-    "bigA_delta",
-    "bigB",
-    "build_dp",
-    "circumference",
-    "compare_theory",
-    "compensation_factor",
-    "components",
-    "critical_point",
-    "diameter",
-    "edges_for_mu",
-    "exact_sequence_probability",
-    "expected_attempts",
-    "is_planar",
-    "kernel",
-    "longest_path",
-    "pair_configuration",
-    "parse_csv",
-    "parse_degree_set",
-    "periodicity",
-    "petrov_profile",
-    "phi0",
-    "phi1",
-    "planar_c",
-    "predict",
-    "rejection_rate",
-    "root1",
-    "run_experiment",
-    "run_verify",
-    "sample_batch",
-    "sample_degree_sequence",
-    "sample_simple_graph",
-    "step_distribution",
-    "summarize",
-    "trial_generator",
-    "twopath_constants",
-    "two_core",
-    "wright_e",
-]

@@ -388,6 +388,12 @@ class TheoryPrediction:
         return 1.0 - self.planarity / low
 
 
+def check_q_max(q_max: int) -> None:
+    """Refuse an excess truncation below the planar-kernel range."""
+    if q_max < PLANAR_Q_MAX:
+        raise OutOfRangeError(f"q_max must be >= {PLANAR_Q_MAX}, got {q_max}")
+
+
 def _excess_y(q: int) -> float:
     return 3 * q + 0.5
 
@@ -405,8 +411,7 @@ def predict(
     1e-6 triggers a truncation warning.
     """
     _check_args(0.5, mu)
-    if q_max < 4:
-        raise OutOfRangeError(f"q_max must be >= 4, got {q_max}")
+    check_q_max(q_max)
     with mp.workdps(_BASE_DPS):
         t3sq = mp.mpf(cp.t3) ** 2
         window = _bigA_mp(cp, _excess_y(0), mu, variant, q_max + 1, step=3)

@@ -18,7 +18,7 @@ import os
 import sys
 from pathlib import Path
 
-from .asymptotics import predict, twopath_constants
+from .asymptotics import check_q_max, predict, twopath_constants
 from .critical import critical_point
 from .degset import parse_degree_set
 from .errors import DegwinError, InfeasibleError, MaxAttemptsError, OutOfRangeError
@@ -208,6 +208,8 @@ def _cmd_experiment(args) -> int:
     cfg = config_from_mapping(mapping)
     if cfg.out:
         _check_out(cfg.out)
+    if not args.no_compare:
+        check_q_max(args.qmax)
     rt = run_experiment(cfg)
     if cfg.out:
         emit(rt, args.format, cfg.out)

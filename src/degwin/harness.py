@@ -226,16 +226,27 @@ class TrialRow(GraphSummary, _RowKey):
         return cls(trial, n, m, realized_mu, **vars(s))
 
     def validate(self) -> None:
+        if self.trial < 0 or self.attempts < 1 or not math.isfinite(self.realized_mu):
+            raise ValueError(f"trial, attempts or realized_mu out of range: {self}")
         if not (
             1 <= self.largest_component <= self.n and 0 <= self.complex_size <= self.n
         ):
             raise ValueError(f"component sizes inconsistent with n = {self.n}: {self}")
+        # All excesses sum to m - n, and those of trees and unicycles are <= 0.
+        if self.total_excess < self.m - self.n:
+            raise ValueError(f"total excess below m - n = {self.m - self.n}: {self}")
         super().validate()
+
+
+def _bool_cell(cell: str) -> bool:
+    if cell not in ("0", "1"):
+        raise ValueError(f"bad bool cell {cell!r}: expected 0 or 1")
+    return cell == "1"
 
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialRow))
 _CELL_PARSERS = tuple(
-    (lambda c: bool(int(c))) if t is bool else t
+    _bool_cell if t is bool else t
     for t in map(get_type_hints(TrialRow).get, CSV_COLUMNS)
 )
 

@@ -123,7 +123,7 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
 
     Raises InfeasibleError when no sequence over ``ds`` of length n sums to
     ``two_m`` (the corner weight is the zero sentinel), e.g. on parity
-    grounds.
+    grounds, and OutOfRangeError when the table cannot be allocated.
     """
     if n < 1:
         raise OutOfRangeError(f"n must be >= 1, got {n}")
@@ -145,7 +145,14 @@ def build_dp(ds: DegreeSet, n: int, two_m: int) -> DPTable:
     degs, logfact = _degree_arrays(ds, two_m)
     steps = ((degs - low) // p).tolist()
     pad = steps[-1]
-    logw = np.full((n + 1, pad + cmax + 1), NEG_INF)
+    shape = (n + 1, pad + cmax + 1)
+    try:
+        logw = np.full(shape, NEG_INF)
+    except MemoryError:
+        gib = shape[0] * shape[1] * 8 / 2**30
+        raise OutOfRangeError(
+            f"the weight table of shape {shape} ({gib:.3g} GiB) cannot be allocated"
+        ) from None
     logw[0, pad] = 0.0
     shifts = [(pad - s, lf) for s, lf in zip(steps, logfact.tolist())]
     terms = np.empty(len(shifts) * (cmax + 1))

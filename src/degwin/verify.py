@@ -51,7 +51,7 @@ from .asymptotics import (
 )
 from .critical import critical_point, petrov_profile, root1
 from .degset import parse_degree_set
-from .errors import InfeasibleError
+from .errors import InfeasibleError, OutOfRangeError
 from .harness import (
     CHI2_MIN_P,
     ExperimentConfig,
@@ -417,6 +417,8 @@ def run_verify(
     log: Callable[[str], None] = print,
 ) -> VerifyReport:
     """Run the suite; returns a report whose .ok reflects the gated checks."""
+    if trials < 1:
+        raise OutOfRangeError(f"trials must be >= 1, got {trials}")
     checks = []
     for section in _sections(seed, trials, monte_carlo):
         for c in section:

@@ -165,6 +165,7 @@ class TestPackageErrors:
             (["experiment", "--config", "/no/such/dir/sweep.cfg"], "OutOfRangeError", "cannot read config file"),
             (["experiment", *_FEASIBLE, "--trials", "1", "--out", "/no/such/dir/rows.csv"], "OutOfRangeError", "cannot write"),
             (["sample", *_FEASIBLE, "--out", "/no/such/dir/g.jsonl"], "OutOfRangeError", "cannot write"),
+            (["experiment", *_FEASIBLE, "--trials", "1", "--qmax", "3"], "OutOfRangeError", "q_max must be >= 4"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -385,6 +386,10 @@ class TestVerify:
             degwin.verify, "run_verify", lambda **kwargs: FakeReport()
         )
         assert main(["verify", "--skip-monte-carlo"]) == 3
+
+    @pytest.mark.parametrize("argv", [["--trials", "0"], ["--skip-monte-carlo", "--trials", "-1"]])
+    def test_bad_trial_count_fails_before_the_first_section(self, argv, capsys):
+        _assert_error_line(["verify", *argv], "OutOfRangeError", "trials must be >= 1", capsys)
 
 
 class TestConsoleScript:

@@ -558,6 +558,20 @@ class TestEmitAndParse:
         assert corrupted != text
         with pytest.raises(ValueError, match="complex"):
             parse_csv(corrupted)
+        # One cell that no run can emit in an otherwise valid row.  The last
+        # row has no complex part, so its total excess 0 needs m <= n = 12.
+        for row, column, cell, message in (
+            (good, "planar", "7", "bad bool cell '7'"),
+            (good, "trial", "-4", "out of range"),
+            (good, "attempts", "0", "out of range"),
+            (good, "realized_mu", "inf", "out of range"),
+            (make_empty_row(m=12), "m", "15", "total excess below m - n = 3"),
+        ):
+            cells = {k: str(int(v) if isinstance(v, bool) else v) for k, v in vars(row).items()}
+            parse_csv(",".join(CSV_COLUMNS) + "\n" + ",".join(cells.values()))
+            cells[column] = cell
+            with pytest.raises(ValueError, match=message):
+                parse_csv(",".join(CSV_COLUMNS) + "\n" + ",".join(cells.values()))
 
     def test_parse_rejects_sizes_beyond_n(self):
         # Self-consistent statistics, but 900- and 800-vertex parts of a

@@ -1,6 +1,6 @@
-"""Every import of the package is used where it is made, the package exports
-exactly what it imports, every error class has a user, and the theory
-commands start without the graph libraries."""
+"""Every import of the package is used where it is made, every error class
+has a user, the theory commands start without the graph libraries, and a
+module loads only the modules it imports."""
 
 import ast
 import os
@@ -9,8 +9,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-import degwin
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "degwin"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -45,12 +43,6 @@ def test_every_module_is_checked():
     assert len(MODULES) >= 10
 
 
-def test_all_is_the_imported_names():
-    # A name deleted from its module can then linger in neither list.
-    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
-    assert sorted(degwin.__all__) == sorted(imported_names(tree.body))
-
-
 def error_classes() -> list[str]:
     tree = ast.parse((SRC / "errors.py").read_text(encoding="utf-8"))
     return [node.name for node in tree.body if isinstance(node, ast.ClassDef)]
@@ -64,8 +56,20 @@ def names_used(path) -> set[str]:
 @pytest.mark.parametrize("name", error_classes())
 def test_every_error_class_is_used(name):
     # An error class whose last raiser is deleted cannot linger: some module
-    # besides errors.py and __init__.py must name it.
+    # besides errors.py must name it.
     assert any(name in names_used(p) for p in MODULES if p.name != "errors.py"), name
+
+
+def modules_loaded_by(code: str) -> set[str]:
+    """The ``sys.modules`` names after running ``code`` in a fresh interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
+    probe = f"{code}\nimport sys\nprint(' '.join(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return set(proc.stdout.splitlines()[-1].split())
 
 
 @pytest.mark.parametrize(
@@ -79,14 +83,20 @@ def test_every_error_class_is_used(name):
     ids=["import", "threshold", "threshold-rule", "predict"],
 )
 def test_theory_commands_load_no_graph_library(code):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC.parent), env.get("PYTHONPATH"))))
-    probe = (
-        f"{code}\nimport sys\n"
-        "print(sorted({m.split('.')[0] for m in sys.modules} & {'scipy', 'networkx'}))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[]"
+    loaded = {m.split(".")[0] for m in modules_loaded_by(code)}
+    assert loaded & {"scipy", "networkx"} == set()
+
+
+@pytest.mark.parametrize(
+    "module, absent",
+    [
+        ("degwin.critical", {"mpmath", "degwin.asymptotics", "degwin.graph", "degwin.harness",
+                             "degwin.sampler", "degwin.stats", "degwin.verify"}),
+        ("degwin.cli", {"degwin.verify"}),
+    ],
+    ids=["critical", "cli"],
+)
+def test_a_module_loads_only_what_it_imports(module, absent):
+    # The package file imports nothing, so importing one stage does not
+    # load the others.
+    assert modules_loaded_by(f"import {module}") & absent == set()

@@ -127,6 +127,12 @@ class TestWeightTable:
         m, _ = edges_for_mu(ds, 1000, 2.0)
         assert build_dp(ds, 1000, 2 * m).logw.nbytes < 3.0e6
 
+    def test_unallocatable_table_is_a_package_error(self):
+        # 8e14 bytes, beyond any address space, so the request fails at
+        # once without touching memory.
+        with pytest.raises(OutOfRangeError, match=r"shape \(10000001, 10000061\) \(7.45e\+05 GiB\)"):
+            build_dp(parse_degree_set("all:60"), 10_000_000, 10_000_000)
+
 
 # Families for the comparison with the logaddexp-chain table: a parity
 # family, one with degree 0 and gaps, the paper's window family, a sparse
