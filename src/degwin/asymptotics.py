@@ -6,29 +6,32 @@ The central object is the entire series
     x = c2 c3^{-2/3} mu,
 
 where 1/Gamma is taken as 0 at the poles, and c2, c3 are the degree-set window
-constants (c2 = 1/2, c3 = 1/3 in the classical unconstrained case).  From it:
+constants (c2 = 1/2, c3 = 1/3 in the classical unconstrained case).  With the
+classical constants, bigA_classical(y, mu) = e^{-mu^3/6} bigB is the window
+function of the unconstrained random graph.
 
-  * bigA_classical(y, mu) = e^{-mu^3/6} bigB with classical constants: the
-    window function of the unconstrained random graph.
-  * bigA_delta: the degree-constrained analogue.  The source material prints
-    two inequivalent closed forms for it, and they disagree for mu != 0
-    whenever 2 c2 != (3 c3)^{2/3}; both are implemented and named:
-      - "scaled":  (t3 zhat)^{1-y} (3 c3)^{(y-2)/3} A(y, xi) with the scaled
-        argument xi = 2 c2 (3 c3)^{-2/3} mu,
-      - "plain":   e^{-mu^3/6} (zhat t3)^{1-y} bigB(y, mu).
-    Both reduce to (t3 zhat)^{1-y} bigB(y, mu) times a y-independent factor
-    (e^{-xi^3/6} resp. e^{-mu^3/6}), so every self-normalised prediction
-    below is identical under either variant; the discrepancy is surfaced, not
-    resolved.  See the verify CLI subcommand.
+The source paper prints two closed forms of the degree-constrained window
+function A_Delta:
 
-Downstream predictions, all ratios of bigA values and hence variant-proof:
-excess distribution P(q) ~ e_{q0} t3^{2q} A(3q + 1/2, mu), survival = P(0),
-planarity (planar-kernel coefficients in the numerator), and the
-longest-2-path constants.  The planar kernel weights are tabulated only for
-q <= 4, so ``planarity`` is P(planar and total excess <= 4): a lower bound on
-the planarity probability, short of it by at most P(excess >= 5), which is
-1 - P(0) - ... - P(4).  The quantity that is exact in the limit is the
-conditional P(non-planar | excess <= 4),
+  - "scaled": (t3 zhat)^{1-y} (3 c3)^{(y-2)/3} A(y, xi), the classical window
+    function at the scaled argument xi = 2 c2 (3 c3)^{-2/3} mu;
+  - "plain":  e^{-mu^3/6} (t3 zhat)^{1-y} bigB(y, mu).
+
+Both are (t3 zhat)^{1-y} bigB(y, mu) times a factor free of y, e^{-xi^3/6}
+and e^{-mu^3/6} respectively, so scaled/plain = e^{(mu^3 - xi^3)/6}: 1 at
+mu = 0 or where 2 c2 = (3 c3)^{2/3}, and otherwise not.  For {1,3} the ratio
+is 6.254701 at mu = -1 and 0.159880 at mu = +1.  Every prediction here is a
+ratio of window values at one mu, so the factor cancels and both forms give
+the same numbers; the package evaluates bigB alone, and the two forms are
+kept as the test oracle ``printed_window_form`` in ``tests/oracles.py``.
+
+The predictions: excess distribution P(q) ~ e_{q0} t3^{2q} A_Delta(3q + 1/2,
+mu), survival = P(0), planarity (planar-kernel coefficients in the
+numerator), and the longest-2-path constants.  The planar kernel weights are
+tabulated only for q <= 4, so ``planarity`` is P(planar and total excess <=
+4): a lower bound on the planarity probability, short of it by at most
+P(excess >= 5), which is 1 - P(0) - ... - P(4).  The quantity that is exact
+in the limit is the conditional P(non-planar | excess <= 4),
 ``TheoryPrediction.nonplanar_low_excess``.
 
 Negative mu drives catastrophic cancellation in the series (the result is
@@ -287,8 +290,7 @@ def _check_args(y: float, mu: float):
         raise OutOfRangeError(f"y must be >= 1/2, got {y}")
     if not (abs(mu) <= MU_SERIES_LIMIT):
         raise OutOfRangeError(
-            f"|mu| <= {MU_SERIES_LIMIT} required for series evaluation "
-            f"(got {mu}); use bigA_asymptotic beyond"
+            f"|mu| <= {MU_SERIES_LIMIT} required for series evaluation (got {mu})"
         )
 
 
@@ -299,39 +301,6 @@ def bigA_classical(y: float, mu: float) -> float:
         mu = mp.mpf(mu)
         b = _bigB_mp(mp.mpf(1) / 2, mp.mpf(1) / 3, y, mu)[0]
         return float(mp.e ** (-(mu**3) / 6) * b)
-
-
-def _bigA_mp(
-    cp: CriticalPoint, y, mu, variant: str, count: int = 1, step: int = 1
-) -> list[mp.mpf]:
-    """bigA_delta(y + step i, mu) for i < count in the chosen printed form,
-    at 40 digits; the only code that knows the two forms.
-
-    Both are (t3 zhat)^{1-y} bigB(y, mu) times a y-independent factor,
-    e^{-xi^3/6} with xi = 2 c2 (3 c3)^{-2/3} mu ("scaled") or e^{-mu^3/6}
-    ("plain").
-    """
-    with mp.workdps(_BASE_DPS):
-        mu = mp.mpf(mu)
-        if variant == "scaled":
-            arg = 2 * mp.mpf(cp.c2) * (3 * mp.mpf(cp.c3)) ** (mp.mpf(-2) / 3) * mu
-        elif variant == "plain":
-            arg = mu
-        else:
-            raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
-        form = mp.e ** (-(arg**3) / 6)
-        zt = mp.mpf(cp.t3) * mp.mpf(cp.zhat)
-        y = mp.mpf(y)
-        bigs = _bigB_mp(cp.c2, cp.c3, y, mu, count, step)
-        return [form * zt ** (1 - y - step * i) * b for i, b in enumerate(bigs)]
-
-
-def bigA_delta(
-    cp: CriticalPoint, y: float, mu: float, variant: str = "scaled"
-) -> float:
-    """Degree-constrained window function, in the chosen printed form."""
-    _check_args(y, mu)
-    return float(_bigA_mp(cp, y, mu, variant)[0])
 
 
 def bigA_asymptotic(y: float, mu: float, direction: str) -> float:
@@ -372,7 +341,6 @@ class TheoryPrediction:
     """
 
     mu: float
-    variant: str
     survival: float
     excess_dist: tuple[float, ...]
     planarity: float
@@ -403,21 +371,30 @@ def predict(
 ) -> TheoryPrediction:
     """Excess distribution, survival and planarity probabilities at mu.
 
-    P(q) is proportional to e_{q0} t3^{2q} bigA(3q + 1/2, mu), self-normalised
-    over q <= q_max; the planarity numerator replaces e_{q0} by the planar
-    kernel weights, tabulated through q = 4, so the returned ``planarity`` is
-    P(planar and excess <= 4), a lower bound on P(planar) (see
-    TheoryPrediction).  A tail weight ``excess_dist[-1]`` = P(q_max) above
-    1e-6 triggers a truncation warning.
+    P(q) is proportional to e_{q0} t3^{2q} A_Delta(3q + 1/2, mu), which with
+    the factors free of q dropped is the weight
+
+        e_{q0} (t3^2 / (t3 zhat)^3)^q bigB(3q + 1/2, mu),
+
+    self-normalised over q <= q_max.  The planarity numerator replaces e_{q0}
+    by the planar kernel weights, tabulated through q = 4, so the returned
+    ``planarity`` is P(planar and excess <= 4), a lower bound on P(planar)
+    (see TheoryPrediction).  A tail weight ``excess_dist[-1]`` = P(q_max)
+    above 1e-6 triggers a truncation warning.  ``variant`` must be one of
+    VARIANTS and changes nothing: both printed forms of A_Delta give these
+    weights (see the module docstring).
     """
     _check_args(0.5, mu)
     check_q_max(q_max)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
     with mp.workdps(_BASE_DPS):
-        t3sq = mp.mpf(cp.t3) ** 2
-        window = _bigA_mp(cp, _excess_y(0), mu, variant, q_max + 1, step=3)
+        t3 = mp.mpf(cp.t3)
+        per_q = t3**2 / (t3 * mp.mpf(cp.zhat)) ** 3
+        window = _bigB_mp(cp.c2, cp.c3, _excess_y(0), mu, q_max + 1, step=3)
         weights = []
-        for q, (e, a) in enumerate(zip(_wright_e_series(), window)):
-            w = mp.mpf(e.numerator) / mp.mpf(e.denominator) * t3sq**q * a
+        for q, (e, b) in enumerate(zip(_wright_e_series(), window)):
+            w = mp.mpf(e.numerator) / mp.mpf(e.denominator) * per_q**q * b
             weights.append(w)
         total = mp.fsum(weights)
         if total <= 0:
@@ -426,7 +403,7 @@ def predict(
         planar_num = mp.mpf(0)
         for q in range(PLANAR_Q_MAX + 1):
             c = planar_c(q)
-            w = mp.mpf(c.numerator) / mp.mpf(c.denominator) * t3sq**q * window[q]
+            w = mp.mpf(c.numerator) / mp.mpf(c.denominator) * per_q**q * window[q]
             planar_num += w
         planarity = float(planar_num / total)
     if probs[-1] > 1e-6:
@@ -438,7 +415,6 @@ def predict(
         )
     return TheoryPrediction(
         mu=mu,
-        variant=variant,
         survival=probs[0],
         excess_dist=probs,
         planarity=planarity,
@@ -494,7 +470,3 @@ def rejection_rate(phi1_value: float) -> float:
         raise ValueError(f"branching ratio must be >= 0, got {phi1_value}")
     return math.exp(-phi1_value / 2.0 - phi1_value * phi1_value / 4.0)
 
-
-def expected_attempts(phi1_value: float) -> float:
-    """Expected pairing attempts until simplicity = 1 / rejection_rate."""
-    return 1.0 / rejection_rate(phi1_value)

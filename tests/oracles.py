@@ -298,6 +298,26 @@ def oracle_window_series(c2: float, c3: float, y: float, mu: float):
         return mp.mpf(c3) ** ((mp.mpf(y) - 2) / 3) / 3 * total
 
 
+def printed_window_form(cp, y: float, mu: float, form: str) -> float:
+    """The degree-constrained window function A_Delta(y, mu) in one of the two
+    closed forms the source paper prints, built from public functions.
+
+    "scaled" is (t3 zhat)^{1-y} (3 c3)^{(y-2)/3} A(y, xi), the classical window
+    function at xi = 2 c2 (3 c3)^{-2/3} mu; "plain" is
+    e^{-mu^3/6} (t3 zhat)^{1-y} bigB(y, mu).  The two differ by the factor
+    e^{(mu^3 - xi^3)/6}, which does not depend on y.
+    """
+    from degwin.asymptotics import bigA_classical, bigB
+
+    zt = cp.t3 * cp.zhat
+    if form == "scaled":
+        xi = 2.0 * cp.c2 * (3.0 * cp.c3) ** (-2.0 / 3.0) * mu
+        return zt ** (1.0 - y) * (3.0 * cp.c3) ** ((y - 2.0) / 3.0) * bigA_classical(y, xi)
+    if form == "plain":
+        return math.exp(-(mu**3) / 6.0) * zt ** (1.0 - y) * bigB(cp, y, mu)
+    raise ValueError(f"unknown printed form {form!r}")
+
+
 def oracle_series_sum(x, y, max_terms: int = 20000):
     """The window series S(y) = sum_k x^k / (k! Gamma((y+1-2k)/3)) term by
     term in mpmath, at the caller's working precision.

@@ -11,17 +11,14 @@ from hypothesis import given, settings, strategies as st
 from degwin import asymptotics
 from degwin.asymptotics import (
     MU_SERIES_LIMIT,
-    VARIANTS,
-    _bigA_mp,
+    _bigB_mp,
     _series_sum,
     _window_sums,
     _window_x,
     _wright_e_series,
     bigA_asymptotic,
     bigA_classical,
-    bigA_delta,
     bigB,
-    expected_attempts,
     planar_c,
     predict,
     rejection_rate,
@@ -32,7 +29,7 @@ from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
 from degwin.errors import ConvergenceError, OutOfRangeError
 
-from oracles import oracle_series_sum, oracle_window_series
+from oracles import oracle_series_sum, oracle_window_series, printed_window_form
 
 FAMILIES = ("1,3", "1,2,3", "0,1,4,5", "1,3,5,7")
 
@@ -52,6 +49,16 @@ PREDICT_ANCHORS = {
     ("1,3", 0.0): (0.8735390594303712, 0.9985128525424461),
     ("1,3,5,7", -3.0): (0.9993551609111467, 0.9999999995968947),
     ("1,3,5,7", 0.0): (0.8166148859731711, 0.9934141703244127),
+}
+
+# float.hex of predict()'s (survival, excess_dist[1], planarity) at q_max = 20.
+PREDICT_BITS = {
+    ("1,3,5,7", -2.0): ("0x1.feee3ca8668a5p-1", "0x1.0db2077b95f61p-9", "0x1.ffffff896be4dp-1"),
+    ("1,3,5,7", 0.0): ("0x1.a21b58a95cf2bp-1", "0x1.d05823cc83e6ap-4", "0x1.fca0c839da477p-1"),
+    ("1,3,5,7", 2.0): ("0x1.1170e3163d7adp-16", "0x1.70c9d97671fb9p-15", "0x1.bafb1eab7d58ap-11"),
+    ("0,1,4,5", 0.0): ("0x1.da1814ebbe4d0p-1", "0x1.f4cc216c6874dp-5", "0x1.ffea6d6e7f3b0p-1"),
+    ("pow2:64", 1.0): ("0x1.2c7f8eead4be0p-4", "0x1.3e872acfe532ep-4", "0x1.b12249e896634p-2"),
+    ("1,3", -1.0): ("0x1.fb4dc90f0cc9fp-1", "0x1.1d3100e4ae223p-7", "0x1.ffffdd98883d0p-1"),
 }
 
 
@@ -136,7 +143,9 @@ class TestWindowSeries:
         cp = _cp("1,3")
         with pytest.raises(ValueError, match="y must be"):
             bigB(cp, 0.25, 0.0)
-        with pytest.raises(ValueError, match="bigA_asymptotic"):
+        # The refusal states the limit and nothing else.
+        limit = r"\|mu\| <= 20\.0 required for series evaluation \(got 21\.0\)$"
+        with pytest.raises(ValueError, match=limit):
             bigB(cp, 0.5, MU_SERIES_LIMIT + 1.0)
 
     def test_cancellation_beyond_precision_budget(self):
@@ -225,11 +234,10 @@ class TestWindowRecurrence:
         cp = _cp(spec)
         q_max = 30
         for mu in (-4.0, -2.0, -1.0, 0.0, 1.0, 2.0, 4.0):
-            for variant in VARIANTS:
-                column = [float(a) for a in _bigA_mp(cp, 0.5, mu, variant, q_max + 1, step=3)]
-                for q, got in enumerate(column):
-                    want = bigA_delta(cp, 3 * q + 0.5, mu, variant)
-                    assert got == pytest.approx(want, rel=1e-13, abs=0), (mu, variant, q)
+            column = [float(b) for b in _bigB_mp(cp.c2, cp.c3, 0.5, mu, q_max + 1, step=3)]
+            for q, got in enumerate(column):
+                want = bigB(cp, 3 * q + 0.5, mu)
+                assert got == pytest.approx(want, rel=1e-13, abs=0), (mu, q)
 
     @pytest.mark.parametrize("mu", [-2.0, 2.0])
     def test_far_end_matches_high_precision_series(self, mu):
@@ -318,18 +326,20 @@ class TestClassicalWindow:
 
 
 class TestDegreeWindow:
+    """The two printed forms of A_Delta (the oracle ``printed_window_form``)."""
+
     @pytest.mark.parametrize("spec", FAMILIES)
     def test_variants_agree_at_centre(self, spec):
         cp = _cp(spec)
         for y in (0.5, 3.5, 6.5, 12.5):
-            scaled = bigA_delta(cp, y, 0.0, "scaled")
-            plain = bigA_delta(cp, y, 0.0, "plain")
+            scaled = printed_window_form(cp, y, 0.0, "scaled")
+            plain = printed_window_form(cp, y, 0.0, "plain")
             assert scaled == pytest.approx(plain, rel=1e-12, abs=0)
 
     def test_variants_differ_off_centre_by_constant_factor(self):
         cp = _cp("1,3")
         ratios = [
-            bigA_delta(cp, y, 1.0, "scaled") / bigA_delta(cp, y, 1.0, "plain")
+            printed_window_form(cp, y, 1.0, "scaled") / printed_window_form(cp, y, 1.0, "plain")
             for y in (0.5, 3.5, 6.5)
         ]
         assert abs(ratios[0] - 1.0) > 0.1
@@ -339,15 +349,15 @@ class TestDegreeWindow:
         cp = _cp("all:60")
         for y in (0.5, 3.5):
             for mu in (-2.0, 0.0, 1.0):
-                for variant in VARIANTS:
-                    assert bigA_delta(cp, y, mu, variant) == pytest.approx(
+                for form in ("scaled", "plain"):
+                    assert printed_window_form(cp, y, mu, form) == pytest.approx(
                         bigA_classical(y, mu), rel=1e-12, abs=0
                     )
 
     def test_unknown_variant(self):
         cp = _cp("1,3")
-        with pytest.raises(ValueError, match="variant"):
-            bigA_delta(cp, 0.5, 0.0, "fancy")
+        # Off-centre, where the two printed forms differ by a factor 6.25.
+        assert predict(cp, -1.0, "scaled", 20) == predict(cp, -1.0, "plain", 20)
         with pytest.raises(ValueError, match="variant"):
             predict(cp, 0.0, variant="fancy")
 
@@ -398,6 +408,16 @@ class TestPredictions:
             assert p.survival == pytest.approx(survival, rel=1e-9, abs=0)
             assert p.planarity == pytest.approx(planarity, rel=1e-9, abs=0)
 
+    def test_bit_pins(self):
+        # float.hex of (survival, P(1), planarity): the bits of the window
+        # series and the weight formula together.
+        for (spec, mu), want in PREDICT_BITS.items():
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)  # 1,3,5,7 at mu = +2
+                p = predict(_cp(spec), mu)
+            got = tuple(float.hex(v) for v in (p.survival, p.excess_dist[1], p.planarity))
+            assert got == want, (spec, mu)
+
     def test_qmax_domain(self):
         with pytest.raises(ValueError, match="q_max"):
             predict(_cp("1,3"), 0.0, q_max=3)
@@ -441,7 +461,6 @@ class TestPairingRejection:
     def test_values(self):
         assert rejection_rate(0.0) == 1.0
         assert rejection_rate(1.0) == pytest.approx(math.exp(-0.75), rel=1e-15, abs=0)
-        assert expected_attempts(1.0) == pytest.approx(math.exp(0.75), rel=1e-15, abs=0)
 
     def test_monotone_and_domain(self):
         assert rejection_rate(2.0) < rejection_rate(1.0) < rejection_rate(0.5)

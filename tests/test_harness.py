@@ -55,11 +55,16 @@ def tiny_config(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**kwargs)
 
 
+# make_row and make_empty_row share one point, n = m = 15, at which both rows
+# can occur: the excesses of a graph sum to m - n = 0.
+
+
 def make_row(**overrides) -> TrialRow:
-    """A complex-part row with self-consistent statistics."""
+    """A row whose graph is a 12-vertex complex part of excess 3 and three
+    isolated vertices, with self-consistent statistics."""
     kwargs = dict(
         trial=0,
-        n=12,
+        n=15,
         m=15,
         realized_mu=0.0,
         attempts=5,
@@ -77,10 +82,11 @@ def make_row(**overrides) -> TrialRow:
 
 
 def make_empty_row(**overrides) -> TrialRow:
-    """A row whose graph has no complex part (all length sentinels -1)."""
+    """A row whose graph is all unicycles, so it has no complex part (all
+    length sentinels -1)."""
     kwargs = dict(
         trial=0,
-        n=12,
+        n=15,
         m=15,
         realized_mu=0.0,
         attempts=1,
@@ -417,7 +423,7 @@ class TestAggregates:
             make_empty_row(trial=4),
         )
         (agg,) = aggregate_rows(rows)
-        assert agg.n == 12
+        assert agg.n == 15
         assert agg.m == 15
         assert agg.trials == 5
         assert agg.survival_rate == pytest.approx(3 / 5)
@@ -432,6 +438,12 @@ class TestAggregates:
         assert agg.se_longest_path is None
         assert agg.mean_circumference == pytest.approx(6.0)
         assert agg.se_circumference is None
+
+    def test_default_rows_validate(self):
+        # Rows that no run can emit would test the aggregates on impossible
+        # data.
+        make_row().validate()
+        make_empty_row().validate()
 
     def test_no_complex_trials_yields_none_means(self):
         (agg,) = aggregate_rows([make_empty_row(trial=t) for t in range(4)])
@@ -484,7 +496,7 @@ class TestEmitAndParse:
         )
         header, line = text.strip().split("\n")
         assert header == ",".join(CSV_COLUMNS)
-        assert line == "0,12,15,-0.123456789,5,8,2,3,12,3,7,6,0"
+        assert line == "0,15,15,-0.123456789,5,8,2,3,12,3,7,6,0"
 
     def test_emit_csv_and_read_back(self, tmp_path):
         table = run_experiment(tiny_config(ms=(5,), trials=8))
@@ -559,13 +571,13 @@ class TestEmitAndParse:
         with pytest.raises(ValueError, match="complex"):
             parse_csv(corrupted)
         # One cell that no run can emit in an otherwise valid row.  The last
-        # row has no complex part, so its total excess 0 needs m <= n = 12.
+        # row has no complex part, so its total excess 0 needs m <= n = 15.
         for row, column, cell, message in (
             (good, "planar", "7", "bad bool cell '7'"),
             (good, "trial", "-4", "out of range"),
             (good, "attempts", "0", "out of range"),
             (good, "realized_mu", "inf", "out of range"),
-            (make_empty_row(m=12), "m", "15", "total excess below m - n = 3"),
+            (make_empty_row(), "m", "18", "total excess below m - n = 3"),
         ):
             cells = {k: str(int(v) if isinstance(v, bool) else v) for k, v in vars(row).items()}
             parse_csv(",".join(CSV_COLUMNS) + "\n" + ",".join(cells.values()))

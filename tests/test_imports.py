@@ -1,6 +1,6 @@
 """Every import of the package is used where it is made, every error class
-has a user, the theory commands start without the graph libraries, and a
-module loads only the modules it imports."""
+and private name has a user, the theory commands start without the graph
+libraries, and a module loads only the modules it imports."""
 
 import ast
 import os
@@ -58,6 +58,43 @@ def test_every_error_class_is_used(name):
     # An error class whose last raiser is deleted cannot linger: some module
     # besides errors.py must name it.
     assert any(name in names_used(p) for p in MODULES if p.name != "errors.py"), name
+
+
+def private_definitions(tree) -> list[str]:
+    """Module-level ``_name`` functions, classes and assignments."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (*FUNCTIONS, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names += [t.id for t in targets if isinstance(t, ast.Name)]
+    return [n for n in names if n.startswith("_") and not n.startswith("__")]
+
+
+def names_read(tree) -> set[str]:
+    """Every name read as a variable or an attribute."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+    return read
+
+
+def test_every_private_name_is_read():
+    # A private helper whose last caller is deleted cannot linger: the
+    # package must read it somewhere, in its own module or another.
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    read = set().union(*map(names_read, trees.values()))
+    unread = [
+        f"{module}.{name}"
+        for module, tree in trees.items()
+        for name in private_definitions(tree)
+        if name not in read
+    ]
+    assert unread == []
 
 
 def modules_loaded_by(code: str) -> set[str]:
