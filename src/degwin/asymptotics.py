@@ -279,12 +279,6 @@ def _bigB_mp(c2, c3, y, mu, count: int = 1, step: int = 1) -> list[mp.mpf]:
         return [c3 ** ((y + step * i - 2) / 3) / 3 * s for i, s in enumerate(sums)]
 
 
-def bigB(cp: CriticalPoint, y: float, mu: float) -> float:
-    """The degree-constrained window series bigB(y, mu) as a float."""
-    _check_args(y, mu)
-    return float(_bigB_mp(cp.c2, cp.c3, y, mu)[0])
-
-
 def _check_args(y: float, mu: float):
     if not (y >= 0.5):
         raise OutOfRangeError(f"y must be >= 1/2, got {y}")

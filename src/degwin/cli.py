@@ -174,6 +174,10 @@ def _cmd_predict(args) -> int:
 def _cmd_sample(args) -> int:
     if args.count < 0:
         raise OutOfRangeError(f"count must be >= 0, got {args.count}")
+    if args.seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {args.seed}")
+    if args.max_attempts < 1:
+        raise OutOfRangeError(f"max_attempts must be >= 1, got {args.max_attempts}")
     if args.out:
         _check_out(args.out)
     ds = parse_degree_set(args.degrees)

@@ -47,12 +47,6 @@ class CriticalPoint:
     rho: float
 
 
-# omega = e^z limit (all degrees allowed): the classical random-graph values.
-ER_CRITICAL_POINT = CriticalPoint(
-    zhat=1.0, alpha=0.5, t3=1.0, c2=0.5, c3=1.0 / 3.0, rho=math.exp(-1.0)
-)
-
-
 def _phi_root(ds: DegreeSet, k: int, target: float, error: type[Exception]) -> float:
     """Solve phi_k(z) = z omega^(k+1)(z) / omega^(k)(z) = target for z > 0.
 

@@ -255,15 +255,6 @@ def phi0(ds: DegreeSet, z: float) -> float:
     return z * w1 / w0
 
 
-def phi1(ds: DegreeSet, z: float) -> float:
-    """z omega''(z) / omega'(z); non-decreasing on the positive axis."""
-    if z <= 0.0:
-        raise ValueError(f"phi1 requires z > 0, got {z}")
-    w1 = egf_eval(ds, z, 1)
-    w2 = egf_eval(ds, z, 2)
-    return z * w2 / w1
-
-
 def periodicity(ds: DegreeSet) -> int:
     """gcd of the pairwise differences of the degrees."""
     return math.gcd(*(d - ds.min_degree for d in ds.degrees[1:])) or 1

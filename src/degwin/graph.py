@@ -2,8 +2,8 @@
 
 Vertices are labeled 1..n.  The decomposition chain used everywhere below:
 
-  components  ->  2-core (peel degree <= 1)  ->  kernel (contract the
-  degree-2 chains of the 2-core into weighted multigraph edges)
+  component_labels  ->  2-core (peel degree <= 1)  ->  kernel (contract
+  the degree-2 chains of the 2-core into weighted multigraph edges)
 
 A component's excess is edges - vertices: trees have -1, unicycles 0, and
 "complex" components have excess >= 1.  Only complex components own a kernel;
@@ -95,9 +95,6 @@ class Graph:
     def m(self) -> int:
         return self.u.size
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Graph) and self.n == other.n and self.edges == other.edges
@@ -125,10 +122,6 @@ class Component:
     def excess(self) -> int:
         return self.edge_count - len(self.vertices)
 
-    @property
-    def is_complex(self) -> bool:
-        return self.excess >= 1
-
 
 def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component label per vertex plus per-component sizes and edge counts.
@@ -151,17 +144,6 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     sizes = np.bincount(labels[1:], minlength=first.size)
     edge_counts = np.bincount(labels[u], minlength=first.size)
     return labels, sizes, edge_counts
-
-
-def components(g: Graph) -> list[Component]:
-    """Connected components, ordered by smallest contained vertex label."""
-    labels, sizes, edge_counts = component_labels(g)
-    members = np.argsort(labels[1:], kind="stable") + 1
-    bounds = np.cumsum(sizes)[:-1]
-    return [
-        Component(vertices=tuple(verts.tolist()), edge_count=int(e))
-        for verts, e in zip(np.split(members, bounds), edge_counts)
-    ]
 
 
 @dataclass(frozen=True)
@@ -292,15 +274,6 @@ class KernelMultigraph:
     @property
     def excess(self) -> int:
         return len(self.edges) - len(self.vertices)
-
-    def degree(self, v: int) -> int:
-        d = 0
-        for e in self.edges:
-            if e.u == v:
-                d += 1
-            if e.v == v:
-                d += 1
-        return d
 
 
 def kernel(

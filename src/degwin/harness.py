@@ -89,6 +89,10 @@ class ExperimentConfig:
             raise OutOfRangeError(f"trials must be >= 1, got {self.trials}")
         if self.jobs < 1:
             raise OutOfRangeError(f"jobs must be >= 1, got {self.jobs}")
+        if self.seed < 0:
+            raise OutOfRangeError(f"seed must be >= 0, got {self.seed}")
+        if self.max_attempts < 1:
+            raise OutOfRangeError(f"max_attempts must be >= 1, got {self.max_attempts}")
         if self.mus and self.ms:
             raise OutOfRangeError("give a mu-list or an m-list, not both")
         if not self.mus and not self.ms:
@@ -472,12 +476,6 @@ class DiameterScaling:
 class TheoryReport:
     points: tuple[PointComparison, ...]
     scalings: tuple[DiameterScaling, ...]
-
-    @property
-    def passed(self) -> bool:
-        return all(
-            p.survival_ok and p.excess_ok and p.nonplanar_ok for p in self.points
-        )
 
 
 def _rate_check(pred: float, obs: float | None, trials: int) -> tuple[float, bool]:

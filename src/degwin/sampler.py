@@ -31,8 +31,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -44,7 +42,6 @@ from .graph import Graph
 NEG_INF = float("-inf")
 _FLOOR = float(np.finfo(np.float64).min)
 DEFAULT_MAX_ATTEMPTS = 10_000
-_ENUM_MAX_N = 12
 # Rows walked per round of ``sample_batch``, shared among the active trials.
 # A round's fixed cost (the n-step loop) is that of roughly 100-200 rows, so
 # drawing a few attempts ahead per trial is cheaper than a round per attempt.
@@ -259,21 +256,6 @@ def _stub_pairs(seq: np.ndarray, perm: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return np.minimum(pairs[:, 0], pairs[:, 1]), np.maximum(pairs[:, 0], pairs[:, 1])
 
 
-def pair_configuration(seq, rng: np.random.Generator) -> list[tuple[int, int]]:
-    """Uniform pairing of the half-edge stubs; may contain loops/multi-edges.
-
-    Consumes a single ``rng.permutation(sum(seq))`` block; adjacent entries of
-    the permuted stub list are paired, which is uniform over perfect
-    matchings.
-    """
-    seq = np.asarray(seq, dtype=np.int64)
-    two_m = int(seq.sum())
-    if two_m % 2:
-        raise ValueError(f"total degree {two_m} must be even")
-    u, v = _stub_pairs(seq, rng.permutation(two_m))
-    return list(zip(u.tolist(), v.tolist()))
-
-
 def _simple_pairs_or_none(seq: np.ndarray, perm: np.ndarray, n: int):
     """Endpoint arrays (u < v) of the pairing, or None on a loop or double edge."""
     u, v = _stub_pairs(seq, perm)
@@ -381,46 +363,6 @@ def trial_generator(
     return np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(point_index, trial_index))
     )
-
-
-@lru_cache(maxsize=None)
-def _exact_weight_sum(degrees: tuple[int, ...], i: int, j: int) -> Fraction:
-    """Sum of prod 1/d_v! over all length-i sequences in ``degrees`` summing to j."""
-    if i == 0:
-        return Fraction(1) if j == 0 else Fraction(0)
-    total = Fraction(0)
-    for d in degrees:
-        rest = j - d
-        if rest < 0 or rest > (i - 1) * degrees[-1]:
-            continue
-        total += _exact_weight_sum(degrees, i - 1, rest) / math.factorial(d)
-    return total
-
-
-def exact_sequence_probability(ds: DegreeSet, n: int, m: int, seq) -> Fraction:
-    """Exact P(seq) as a rational, independently of the float table.
-
-    Sums the weights of all admissible sequences with exact arithmetic;
-    guarded to small n since the state space grows with n * m.
-    """
-    if n > _ENUM_MAX_N:
-        raise OutOfRangeError(f"exact enumeration is limited to n <= {_ENUM_MAX_N}")
-    seq = tuple(int(d) for d in seq)
-    if len(seq) != n:
-        raise ValueError(f"sequence length {len(seq)} != n = {n}")
-    two_m = 2 * m
-    allowed = set(ds.degrees)
-    if any(d not in allowed for d in seq) or sum(seq) != two_m:
-        return Fraction(0)
-    total = _exact_weight_sum(ds.degrees, n, two_m)
-    if total == 0:
-        raise InfeasibleError(
-            f"no degree sequence over {ds} of length {n} sums to {two_m}"
-        )
-    weight = Fraction(1)
-    for d in seq:
-        weight /= math.factorial(d)
-    return weight / total
 
 
 def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:

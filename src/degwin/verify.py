@@ -27,6 +27,7 @@ import math
 import time
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -52,7 +53,6 @@ from .harness import (
     run_experiment,
 )
 from .sampler import (
-    _exact_weight_sum,
     _simple_pairs_or_none,
     build_dp,
     sample_degree_sequence,
@@ -233,6 +233,20 @@ def dp_marginals() -> list[VerifyCheck]:
         f"max |float DP - Fraction recursion| = {worst:.2e} over {cases} marginals "
         f"(tol 1e-12)",
     )]
+
+
+@lru_cache(maxsize=None)
+def _exact_weight_sum(degrees: tuple[int, ...], i: int, j: int) -> Fraction:
+    """Sum of prod 1/d_v! over all length-i sequences in ``degrees`` summing to j."""
+    if i == 0:
+        return Fraction(1) if j == 0 else Fraction(0)
+    total = Fraction(0)
+    for d in degrees:
+        rest = j - d
+        if rest < 0 or rest > (i - 1) * degrees[-1]:
+            continue
+        total += _exact_weight_sum(degrees, i - 1, rest) / math.factorial(d)
+    return total
 
 
 def _exact_marginal(ds, n: int, m: int, d: int) -> Fraction:

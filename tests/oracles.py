@@ -1,9 +1,14 @@
 """Independent brute-force oracles used to freeze expected test values.
 
-Everything here works directly on vertex/edge lists with exponential or
-exhaustive algorithms and deliberately shares no logic with the package's
-kernel-based pipeline or its log-space DP: these are the refereeing
-implementations, kept slow and obvious.
+The graph and sequence oracles work directly on vertex/edge lists with
+exponential or exhaustive algorithms, or with networkx, and deliberately
+share no logic with the package's kernel-based pipeline or its log-space DP:
+these are the refereeing implementations, kept slow and obvious.  The only
+package code they touch is the ``Graph`` and ``Component`` records, and the
+JSONL wire format they read and write.  The window-function helpers at the
+end are the exception: ``bigB`` and ``printed_window_form`` are built from
+the package's own series evaluator, so they record the paper's printed forms
+rather than referee the series.
 """
 
 from __future__ import annotations
@@ -18,7 +23,19 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from degwin.graph import Graph, KernelMultigraph, components, from_jsonl_line, to_jsonl_line
+from degwin.graph import Component, Graph, KernelMultigraph, from_jsonl_line, to_jsonl_line
+
+
+def nx_components(g: Graph) -> list[Component]:
+    """Connected components by networkx, ordered by smallest vertex, as the
+    ``Component`` records that ``kernel`` takes."""
+    gx = nx.Graph()
+    gx.add_nodes_from(range(1, g.n + 1))
+    gx.add_edges_from(g.edges)
+    return [
+        Component(vertices=tuple(verts), edge_count=gx.subgraph(verts).number_of_edges())
+        for verts in sorted(sorted(c) for c in nx.connected_components(gx))
+    ]
 
 
 def brute_longest_path(g: Graph, verts) -> int:
@@ -66,7 +83,7 @@ def brute_diameter(g: Graph, verts) -> int:
     """Largest BFS eccentricity over the induced components; -1 if empty."""
     verts = set(verts)
     best = -1
-    for comp in components(g):
+    for comp in nx_components(g):
         cv = set(comp.vertices) & verts
         if not cv:
             continue
@@ -109,8 +126,8 @@ def subdivided_planar(k: KernelMultigraph) -> bool:
 def complex_vertices(g: Graph) -> set[int]:
     """Vertices of all components with excess >= 1."""
     out: set[int] = set()
-    for comp in components(g):
-        if comp.is_complex:
+    for comp in nx_components(g):
+        if comp.excess >= 1:
             out.update(comp.vertices)
     return out
 
@@ -228,6 +245,14 @@ def h_eval(degrees, z: complex, r: float) -> complex:
     return r * (cmath.log(w1) - cmath.log(z)) + (1.0 - r) * cmath.log(tail)
 
 
+def phi1(ds, z: float) -> float:
+    """Branching ratio z omega''(z) / omega'(z), with omega' and omega''
+    summed term by term over ``ds.degrees`` in floats."""
+    w1 = math.fsum(z ** (d - 1) / math.factorial(d - 1) for d in ds.degrees if d >= 1)
+    w2 = math.fsum(z ** (d - 2) / math.factorial(d - 2) for d in ds.degrees if d >= 2)
+    return z * w2 / w1
+
+
 def enumerate_matchings(owners: list[int]) -> list[tuple[tuple[int, int], ...]]:
     """All perfect matchings of the given stub-owner list, as sorted edge
     tuples (u <= v vertex pairs, one per matched stub pair)."""
@@ -298,6 +323,14 @@ def oracle_window_series(c2: float, c3: float, y: float, mu: float):
         return mp.mpf(c3) ** ((mp.mpf(y) - 2) / 3) / 3 * total
 
 
+def bigB(cp, y: float, mu: float) -> float:
+    """The degree-constrained window series bigB(y, mu) at the constants of
+    ``cp``, as a float: one entry of the package's ``_bigB_mp`` column."""
+    from degwin.asymptotics import _bigB_mp
+
+    return float(_bigB_mp(cp.c2, cp.c3, y, mu)[0])
+
+
 def printed_window_form(cp, y: float, mu: float, form: str) -> float:
     """The degree-constrained window function A_Delta(y, mu) in one of the two
     closed forms the source paper prints, built from public functions.
@@ -307,7 +340,7 @@ def printed_window_form(cp, y: float, mu: float, form: str) -> float:
     e^{-mu^3/6} (t3 zhat)^{1-y} bigB(y, mu).  The two differ by the factor
     e^{(mu^3 - xi^3)/6}, which does not depend on y.
     """
-    from degwin.asymptotics import bigA_classical, bigB
+    from degwin.asymptotics import bigA_classical
 
     zt = cp.t3 * cp.zhat
     if form == "scaled":

@@ -166,6 +166,12 @@ class TestPackageErrors:
             (["experiment", *_FEASIBLE, "--trials", "1", "--out", "/no/such/dir/rows.csv"], "OutOfRangeError", "cannot write"),
             (["sample", *_FEASIBLE, "--out", "/no/such/dir/g.jsonl"], "OutOfRangeError", "cannot write"),
             (["experiment", *_FEASIBLE, "--trials", "1", "--qmax", "3"], "OutOfRangeError", "q_max must be >= 4"),
+            (["sample", "--degrees", "1,3", "--n", "20", "--mu", "0", "--seed", "1", "--max-attempts", "-3"],
+             "OutOfRangeError", "max_attempts must be >= 1, got -3"),
+            (["sample", *_FEASIBLE, "--max-attempts", "0"], "OutOfRangeError", "max_attempts must be >= 1, got 0"),
+            # 2m = 6 is below n*min(D) = 8, so building the weight table would fail first.
+            (["sample", "--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
+            (["experiment", "--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -179,6 +185,7 @@ class TestPackageErrors:
             ("degrees = 1,3\ntrials = abc\n", "trials"),
             ("degrees = 1,3\nn = 50\nmu =\n", "no window location"),
             ("degrees = 1,3\nn = 50\nn = 60\n", "sweep.cfg:3: key 'n' given twice"),
+            ("degrees = 1,3\nn = 8\nm = 5\ntrials = 1\nmax_attempts = 0\n", "max_attempts must be >= 1, got 0"),
         ],
     )
     def test_config_file_errors(self, config, text, tmp_path, capsys):

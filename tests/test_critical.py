@@ -8,9 +8,16 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from degwin import critical
-from degwin.critical import ER_CRITICAL_POINT, critical_point, petrov_profile, root1
-from degwin.degset import DegreeSet, egf_eval, parse_degree_set, phi0, phi1
+from degwin.critical import CriticalPoint, critical_point, petrov_profile, root1
+from degwin.degset import DegreeSet, egf_eval, parse_degree_set, phi0
 from degwin.errors import OutOfRangeError
+
+from oracles import phi1
+
+# omega = e^z limit (all degrees allowed): the classical random-graph values.
+ER_CRITICAL_POINT = CriticalPoint(
+    zhat=1.0, alpha=0.5, t3=1.0, c2=0.5, c3=1.0 / 3.0, rho=math.exp(-1.0)
+)
 
 # Frozen by an independent 40-digit bisection on phi1(z) = 1.
 FROZEN_ALPHA = {

@@ -22,9 +22,7 @@ from degwin.harness import (
     CSV_COLUMNS,
     ExperimentConfig,
     PointAggregate,
-    PointComparison,
     ResultTable,
-    TheoryReport,
     TrialRow,
     aggregate_rows,
     chi2_pvalue,
@@ -124,6 +122,8 @@ class TestExperimentConfig:
             ({"n": (8, 0)}, "n must be"),
             ({"n": ()}, "n must be"),
             ({"n": (8, 8)}, "n must be"),
+            ({"seed": -1}, "seed must be >= 0, got -1"),
+            ({"max_attempts": 0}, "max_attempts must be >= 1, got 0"),
         ],
     )
     def test_rejects_bad_fields(self, overrides, message):
@@ -743,25 +743,3 @@ class TestCompareTheory:
         pred = point.nonplanar_pred
         sigma = math.sqrt(pred * (1.0 - pred) / 1500)
         assert point.nonplanar_z == pytest.approx((0.01 - pred) / sigma, rel=1e-12)
-
-    def test_passed_requires_every_gate(self):
-        base = dict(
-            n=512,
-            m=256,
-            realized_mu=0.0,
-            trials=2000,
-            survival_pred=0.8,
-            survival_obs=0.81,
-            survival_z=1.0,
-            survival_ok=True,
-            excess_pvalue=0.5,
-            excess_ok=True,
-            nonplanar_pred=0.05,
-            nonplanar_obs=0.06,
-            nonplanar_z=1.0,
-            nonplanar_ok=True,
-        )
-        good = PointComparison(**base)
-        bad = PointComparison(**{**base, "excess_ok": False})
-        assert TheoryReport(points=(good,), scalings=()).passed
-        assert not TheoryReport(points=(good, bad), scalings=()).passed

@@ -17,16 +17,16 @@ from degwin.errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from degwin.sampler import (
     DEFAULT_MAX_ATTEMPTS,
     _simple_pairs_or_none,
+    _stub_pairs,
     build_dp,
     edges_for_mu,
-    exact_sequence_probability,
-    pair_configuration,
     sample_batch,
     sample_degree_sequence,
     sample_simple_graph,
     step_distribution,
     trial_generator,
 )
+from degwin.verify import _exact_weight_sum
 
 from oracles import (
     enumerate_matchings,
@@ -57,6 +57,13 @@ def _bucket_total(degrees, i, j):
     return sum(
         enumerate_sequences(degrees, i).get(j, {}).values(), Fraction(0)
     )
+
+
+def sequence_law(degrees, n, two_m):
+    """P(seq) of every length-n sequence over ``degrees`` summing to two_m,
+    by exhaustive enumeration."""
+    total = _bucket_total(degrees, n, two_m)
+    return {seq: w / total for seq, w in enumerate_sequences(degrees, n)[two_m].items()}
 
 
 class TestWeightTable:
@@ -207,7 +214,7 @@ class TestLogSumExpRows:
             dp = build_dp(ds, n, n * ds.max_degree)
         for i in range(n + 1):
             for j in range(dp.two_m + 1):
-                exact = sampler._exact_weight_sum(ds.degrees, i, j)
+                exact = _exact_weight_sum(ds.degrees, i, j)
                 if j not in _reachable(dp, i):
                     # At 2m = n*max(D) the band holds every positive cell.
                     assert exact == 0, (i, j)
@@ -281,25 +288,10 @@ class TestStepDistribution:
 
 class TestSequenceSampling:
     def test_exact_probability_example(self):
-        ds = parse_degree_set("1,3")
-        assert exact_sequence_probability(ds, 4, 3, (3, 1, 1, 1)) == Fraction(1, 4)
-        total = sum(
-            exact_sequence_probability(ds, 4, 3, seq)
-            for seq in set(itertools.permutations((3, 1, 1, 1)))
-        )
-        assert total == 1
-
-    def test_exact_probability_invalid_sequences(self):
-        ds = parse_degree_set("1,3")
-        assert exact_sequence_probability(ds, 4, 3, (2, 2, 1, 1)) == 0
-        assert exact_sequence_probability(ds, 4, 3, (1, 1, 1, 1)) == 0
-
-    def test_exact_probability_guards(self):
-        ds = parse_degree_set("1,3")
-        with pytest.raises(OutOfRangeError, match="n <= 12"):
-            exact_sequence_probability(ds, 13, 7, (1,) * 13)
-        with pytest.raises(ValueError, match="length"):
-            exact_sequence_probability(ds, 4, 3, (1, 1))
+        law = sequence_law((1, 3), 4, 6)
+        assert law[(3, 1, 1, 1)] == Fraction(1, 4)
+        assert set(law) == set(itertools.permutations((3, 1, 1, 1)))
+        assert sum(law.values()) == 1
 
     def test_empirical_frequencies(self):
         ds = parse_degree_set("1,3")
@@ -308,10 +300,10 @@ class TestSequenceSampling:
         counts = Counter(
             tuple(sample_degree_sequence(dp, ds, rng)) for _ in range(10_000)
         )
-        assert set(counts) == set(itertools.permutations((3, 1, 1, 1)))
+        law = sequence_law(ds.degrees, 4, 6)
+        assert set(counts) == set(law)
         for seq, k in counts.items():
-            want = float(exact_sequence_probability(ds, 4, 3, seq))
-            assert k / 10_000 == pytest.approx(want, abs=0.02)
+            assert k / 10_000 == pytest.approx(float(law[seq]), abs=0.02)
 
     def test_consumes_exactly_one_uniform_block(self):
         ds = parse_degree_set("1,3")
@@ -325,18 +317,17 @@ class TestSequenceSampling:
 
 class TestPairing:
     def test_single_edge(self):
-        assert pair_configuration((1, 1), trial_generator(0, 0)) == [(1, 2)]
+        u, v = _stub_pairs(np.array([1, 1]), trial_generator(0, 0).permutation(2))
+        assert (u.tolist(), v.tolist()) == ([1], [2])
 
     def test_single_loop(self):
-        assert pair_configuration((2,), trial_generator(0, 0)) == [(1, 1)]
-
-    def test_odd_sum_rejected(self):
-        with pytest.raises(ValueError, match="even"):
-            pair_configuration((1, 1, 1), trial_generator(0, 0))
+        u, v = _stub_pairs(np.array([2]), trial_generator(0, 0).permutation(2))
+        assert (u.tolist(), v.tolist()) == ([1], [1])
 
     def test_edges_ordered_and_degrees_preserved(self):
         seq = (2, 3, 1, 2)
-        edges = pair_configuration(seq, trial_generator(7, 0))
+        u, v = _stub_pairs(np.array(seq), trial_generator(7, 0).permutation(sum(seq)))
+        edges = list(zip(u.tolist(), v.tolist()))
         assert len(edges) == sum(seq) // 2
         deg = [0] * (len(seq) + 1)
         for u, v in edges:

@@ -12,7 +12,6 @@ from degwin.graph import (
     Graph,
     KernelEdge,
     KernelMultigraph,
-    components,
     kernel,
     sprout_data,
     two_core,
@@ -33,6 +32,7 @@ from oracles import (
     brute_longest_path,
     brute_planar,
     complex_vertices,
+    nx_components,
     random_complex_graph,
     random_simple_graph,
     subdivided_planar,
@@ -64,8 +64,8 @@ def kernels_of(g: Graph):
     sprouts = sprout_data(g, peel)
     return [
         kernel(g, comp, peel, sprouts)
-        for comp in components(g)
-        if comp.is_complex
+        for comp in nx_components(g)
+        if comp.excess >= 1
     ]
 
 
