@@ -89,6 +89,9 @@ VARIANTS = ("scaled", "plain")
 _MAX_TERMS = 20000
 _BASE_DPS = 40
 _MAX_DPS = 1200
+# Largest excess truncation: predict's cost grows about 5x per doubling of
+# q_max (0.19 s at 1200 and 4 s at 4800 for 1,3,5,7 at mu = 0).
+_MAX_Q = 1200
 
 
 def wright_e(q: int) -> Fraction:
@@ -351,9 +354,12 @@ class TheoryPrediction:
 
 
 def check_q_max(q_max: int) -> None:
-    """Refuse an excess truncation below the planar-kernel range."""
+    """Refuse an excess truncation below the planar-kernel range, or above
+    the q budget of _MAX_Q."""
     if q_max < PLANAR_Q_MAX:
         raise OutOfRangeError(f"q_max must be >= {PLANAR_Q_MAX}, got {q_max}")
+    if q_max > _MAX_Q:
+        raise OutOfRangeError(f"q_max must be <= {_MAX_Q}, got {q_max}")
 
 
 def _excess_y(q: int) -> float:

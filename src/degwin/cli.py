@@ -29,7 +29,6 @@ from .harness import (
     CHUNK_TRIALS,
     compare_theory,
     config_from_mapping,
-    emit,
     load_config_file,
     render_csv,
     render_json,
@@ -72,7 +71,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--degrees", required=True)
     p.add_argument("--mu", required=True, type=_comma_list(float),
                    help="comma list; use --mu=-2,0,2 for negative values")
-    p.add_argument("--qmax", default=20, type=int, help="truncation of the excess distribution")
+    p.add_argument("--qmax", default=20, type=int,
+                   help="truncation of the excess distribution, 4 to 1200")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -119,6 +119,14 @@ def _check_out(path) -> None:
     target = Path(path)
     if target.is_dir() or not os.access(target if target.exists() else target.parent, os.W_OK):
         raise OutOfRangeError(f"cannot write {path}: not a writable file path")
+
+
+def _write(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out`` (UTF-8, '\\n' line ends), or to stdout."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8", newline="\n")
+    else:
+        sys.stdout.write(text)
 
 
 def _cmd_threshold(args) -> int:
@@ -193,11 +201,7 @@ def _cmd_sample(args) -> int:
         rngs = [trial_generator(args.seed, t) for t in range(lo, hi)]
         graphs, _ = sample_batch(ds, dp, rngs, max_attempts=args.max_attempts)
         lines.extend(to_jsonl_line(g) for g in graphs)
-    text = "".join(line + "\n" for line in lines)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
-        sys.stdout.write(text)
+    _write("".join(line + "\n" for line in lines), args.out)
     return 0
 
 
@@ -215,11 +219,9 @@ def _cmd_experiment(args) -> int:
     if not args.no_compare:
         check_q_max(args.qmax)
     rt = run_experiment(cfg)
+    _write(render_csv(rt) if args.format == "csv" else render_json(rt), cfg.out)
     if cfg.out:
-        emit(rt, args.format, cfg.out)
         print(f"wrote {len(rt.rows)} rows to {cfg.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(render_csv(rt) if args.format == "csv" else render_json(rt))
     if not args.no_compare:
         cp = critical_point(parse_degree_set(cfg.degrees))
         report = compare_theory(rt, cp, q_max=args.qmax)

@@ -154,18 +154,11 @@ def root1(ds: DegreeSet, r: float) -> float:
 
 @dataclass(frozen=True)
 class PetrovProfile:
-    """Re h sampled on a circle, with its maxima located on the grid."""
+    """Re h sampled on a circle, and how far its maxima sit from the
+    angles 2 pi k / p, in grid cells."""
 
-    grid_size: int
-    z0: float
-    r: float
-    period: int
     values: np.ndarray
-    argmax_index: int
-    argmax_indices: tuple[int, ...]
-    expected_positions: tuple[float, ...]
     max_cell_offset: float
-    margin: float
 
 
 def petrov_profile(
@@ -174,9 +167,10 @@ def petrov_profile(
     """Sample Phi(theta) = Re h(z0 e^{i theta}; r) on a uniform angle grid.
 
     Precondition: 0 < z0 <= min(root1(r), zhat).  The profile's global maxima
-    then sit exactly at the angles 2 pi k / p (p the degree period); the
-    report locates the grid argmax set and its offset from those angles in
-    grid cells.
+    then sit exactly at the angles 2 pi k / p (p the degree period).  The
+    profile holds the grid values, value j at angle 2 pi j / grid_size, and
+    the largest offset in grid cells between a grid point within 1e-12
+    (relative) of the top value and the nearest of those angles.
     """
     cp = critical_point(ds)
     bound = min(root1(ds, r), cp.zhat)
@@ -194,37 +188,11 @@ def petrov_profile(
             np.abs(2.0 * w0 - zs * w1)
         )
     p = periodicity(ds)
-    j_star = int(np.argmax(vals))
-    top = vals[j_star]
-    scale = max(1.0, abs(top))
-    near = np.nonzero(vals >= top - 1e-12 * scale)[0]
-    expected = tuple(k * grid_size / p for k in range(p))
-    offsets = []
-    for j in near:
-        d = min(
-            min(abs(j - e), grid_size - abs(j - e)) for e in expected
-        )
-        offsets.append(d)
-    max_off = float(max(offsets)) if offsets else 0.0
-    # Margin: drop below the peak once at least one full cell away from every
-    # expected position.
-    away = np.ones(grid_size, dtype=bool)
-    idx = np.arange(grid_size)
-    for e in expected:
-        d = np.abs(idx - e)
-        d = np.minimum(d, grid_size - d)
-        away &= d > 1.0
-    margin = float(top - vals[away].max()) if away.any() else 0.0
-    return PetrovProfile(
-        grid_size=grid_size,
-        z0=z0,
-        r=r,
-        period=p,
-        values=vals,
-        argmax_index=j_star,
-        argmax_indices=tuple(int(j) for j in near),
-        expected_positions=expected,
-        max_cell_offset=max_off,
-        margin=margin,
+    top = vals.max()
+    near = np.nonzero(vals >= top - 1e-12 * max(1.0, abs(top)))[0]
+    expected = [k * grid_size / p for k in range(p)]
+    max_off = max(
+        (min(min(abs(j - e), grid_size - abs(j - e)) for e in expected) for j in near),
+        default=0.0,
     )
-
+    return PetrovProfile(values=vals, max_cell_offset=float(max_off))

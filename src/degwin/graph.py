@@ -115,10 +115,6 @@ class Component:
     edge_count: int
 
     @property
-    def size(self) -> int:
-        return len(self.vertices)
-
-    @property
     def excess(self) -> int:
         return self.edge_count - len(self.vertices)
 

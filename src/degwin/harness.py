@@ -33,6 +33,7 @@ from .critical import CriticalPoint, critical_point
 from .degset import DegreeSet, parse_degree_set
 from .errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from .sampler import (
+    _realized_mu,
     DEFAULT_MAX_ATTEMPTS,
     DPTable,
     build_dp,
@@ -50,7 +51,7 @@ EXCESS_CHI2_RANGE = 5  # chi-square over total excess q = 0..4
 
 
 def _round9(x: float) -> float:
-    """Round to the CSV precision so emit/parse is an exact roundtrip."""
+    """Round to the CSV precision so render_csv/parse_csv is an exact roundtrip."""
     return float(f"{x:.9g}")
 
 
@@ -176,7 +177,6 @@ class ExperimentPoint:
 
     index: int
     n: int
-    nominal_mu: float | None
     m: int
     realized_mu: float
 
@@ -188,11 +188,10 @@ def resolve_points(cfg: ExperimentConfig, ds: DegreeSet) -> tuple[ExperimentPoin
     key, values = ("m", cfg.ms) if cfg.ms else ("mu", cfg.mus)
     points = []
     for n in cfg.n:
-        scale = float(n) ** (1.0 / 3.0)
         first: dict[int, int] = {}
         for i, value in enumerate(values):
             if cfg.ms:
-                m, mu = value, (value / (cp.alpha * n) - 1.0) * scale
+                m, mu = value, _realized_mu(cp, n, value)
             else:
                 m, mu = edges_for_mu(ds, n, value)
             j = first.setdefault(m, i)
@@ -201,7 +200,7 @@ def resolve_points(cfg: ExperimentConfig, ds: DegreeSet) -> tuple[ExperimentPoin
                     f"{key}[{j}] = {values[j]} and {key}[{i}] = {value} "
                     f"both give m = {m} at n = {n}"
                 )
-            points.append(ExperimentPoint(i, n, None if cfg.ms else value, m, _round9(mu)))
+            points.append(ExperimentPoint(i, n, m, _round9(mu)))
     return tuple(points)
 
 
@@ -353,13 +352,6 @@ class ResultTable:
     rows: tuple[TrialRow, ...]
     aggregates: tuple[PointAggregate, ...]
 
-    def validate(self) -> None:
-        """Row-level invariants plus exact aggregate reproducibility."""
-        for row in self.rows:
-            row.validate()
-        if aggregate_rows(self.rows) != self.aggregates:
-            raise ValueError("aggregates do not match their rows")
-
 
 def _sample_summaries(
     ds: DegreeSet,
@@ -414,36 +406,35 @@ def _run_point(
 def run_experiment(cfg: ExperimentConfig) -> ResultTable:
     """Sample every point of the sweep; deterministic for fixed (cfg, seed).
 
-    On a sampler/infeasibility error at some point, the same error is
-    re-raised with the completed points attached as ``exc.partial_table``.
+    A sampler/infeasibility error at some point is re-raised as the same
+    error type with the point's index, n and m prefixed to its message.
     """
     ds = parse_degree_set(cfg.degrees)
     points = resolve_points(cfg, ds)
     rows: list[TrialRow] = []
-
-    def table() -> ResultTable:
-        return ResultTable(cfg.degrees, cfg.seed, tuple(rows), aggregate_rows(rows))
-
     for point in points:
         try:
             summaries = _run_point(cfg, ds, point)
         except (InfeasibleError, MaxAttemptsError) as exc:
-            err = type(exc)(f"point {point.index} (n={point.n}, m={point.m}): {exc}")
-            err.partial_table = table()
-            raise err from exc
+            raise type(exc)(
+                f"point {point.index} (n={point.n}, m={point.m}): {exc}"
+            ) from exc
         rows.extend(
             TrialRow.from_summary(t, point.n, point.m, point.realized_mu, s)
             for t, s in enumerate(summaries)
         )
-    return table()
+    return ResultTable(cfg.degrees, cfg.seed, tuple(rows), aggregate_rows(rows))
 
 
 @dataclass(frozen=True)
 class PointComparison:
-    """Empirical vs predicted at one point; ok-flags use 3 sigma + slack.
+    """Empirical vs predicted at one point.
 
-    The non-planarity fields are P(non-planar | total excess <= 4), the
-    event the planar-kernel prediction covers exactly.
+    ``nonplanar_ok`` is the only verdict (3 sigma + slack); survival and the
+    excess fit carry a z-score and a p-value only, since their finite-n gap
+    to the limit law fails any gate without slack.  The non-planarity fields
+    are P(non-planar | total excess <= 4), the event the planar-kernel
+    prediction covers exactly.
     """
 
     n: int
@@ -453,9 +444,7 @@ class PointComparison:
     survival_pred: float
     survival_obs: float
     survival_z: float
-    survival_ok: bool
     excess_pvalue: float
-    excess_ok: bool
     nonplanar_pred: float
     nonplanar_obs: float
     nonplanar_z: float
@@ -519,14 +508,15 @@ def compare_theory(
 ) -> TheoryReport:
     """Z-scores and chi-square fits of the table against window predictions.
 
-    Survival and non-planarity use the binomial 3 sigma + 0.02 slack rule
-    (the predictions are asymptotic, with unquantified O(n^{-1/3})
-    corrections); the excess distribution is tested over q = 0..4.
-    Non-planarity is compared conditionally on total excess <= 4, over the
-    trials in that range: the planar-kernel weights stop at q = 4, so every
-    graph of excess >= 5 would otherwise count as non-planar.  A point with
-    no trial in that range fails the non-planarity check (z is NaN).  Warns
-    rather than fails below 1000 trials per point.
+    Survival and non-planarity get binomial z-scores, and the excess
+    distribution a chi-square p-value over q = 0..4.  The one verdict,
+    ``nonplanar_ok``, is the 3 sigma + 0.02 slack rule (the predictions are
+    asymptotic, with unquantified O(n^{-1/3}) corrections).  Non-planarity
+    is compared conditionally on total excess <= 4, over the trials in that
+    range: the planar-kernel weights stop at q = 4, so every graph of excess
+    >= 5 would otherwise count as non-planar.  A point with no trial in that
+    range fails the non-planarity check (z is NaN).  Warns rather than fails
+    below 1000 trials per point.
     """
     comparisons = []
     for agg in rt.aggregates:
@@ -537,9 +527,7 @@ def compare_theory(
                 stacklevel=2,
             )
         pred = predict(cp, agg.realized_mu, q_max=q_max)
-        survival_z, survival_ok = _rate_check(
-            pred.survival, agg.survival_rate, agg.trials
-        )
+        survival_z, _ = _rate_check(pred.survival, agg.survival_rate, agg.trials)
         hist = dict(agg.excess_histogram)
         low_trials = sum(hist.get(q, 0) for q in range(PLANAR_Q_MAX + 1))
         nonplanar_pred = pred.nonplanar_low_excess
@@ -555,9 +543,7 @@ def compare_theory(
                 survival_pred=pred.survival,
                 survival_obs=agg.survival_rate,
                 survival_z=survival_z,
-                survival_ok=survival_ok,
                 excess_pvalue=pvalue,
-                excess_ok=pvalue > CHI2_MIN_P,
                 nonplanar_pred=nonplanar_pred,
                 nonplanar_obs=math.nan if nonplanar_obs is None else nonplanar_obs,
                 nonplanar_z=nonplanar_z,
@@ -615,22 +601,6 @@ def render_json(rt: ResultTable) -> str:
         "aggregates": [asdict(a) for a in rt.aggregates],
     }
     return json.dumps(doc, indent=1) + "\n"
-
-
-def emit(rt: ResultTable, fmt: str, path) -> Path:
-    """Write the table as csv or json; returns the path written."""
-    if fmt == "csv":
-        text = render_csv(rt)
-    elif fmt == "json":
-        text = render_json(rt)
-    else:
-        raise ValueError(f"unknown format {fmt!r}; expected csv or json")
-    path = Path(path)
-    try:
-        path.write_text(text, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise OSError(f"cannot write {path}: {exc}") from exc
-    return path
 
 
 def parse_csv(source: str | Path) -> tuple[TrialRow, ...]:

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .critical import critical_point
+from .critical import CriticalPoint, critical_point
 from .degset import DegreeSet, periodicity
 from .errors import InfeasibleError, MaxAttemptsError, OutOfRangeError
 from .graph import Graph
@@ -365,6 +365,11 @@ def trial_generator(
     )
 
 
+def _realized_mu(cp: CriticalPoint, n: int, m: int) -> float:
+    """The window location (m / (alpha n) - 1) n^(1/3) that m edges realise."""
+    return (m / (cp.alpha * n) - 1.0) * float(n) ** (1.0 / 3.0)
+
+
 def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:
     """Edge count hitting the critical window at location ``mu``.
 
@@ -395,5 +400,5 @@ def edges_for_mu(ds: DegreeSet, n: int, mu: float) -> tuple[int, float]:
                         f"n={n}; using m={m}",
                         stacklevel=2,
                     )
-                return m, (m / (cp.alpha * n) - 1.0) * scale
+                return m, _realized_mu(cp, n, m)
     raise InfeasibleError(f"no admissible edge count for {ds} with n={n}")

@@ -368,6 +368,8 @@ def run_verify(
     """Run the suite; returns a report whose .ok reflects the gated checks."""
     if trials < 1:
         raise OutOfRangeError(f"trials must be >= 1, got {trials}")
+    if seed < 0:
+        raise OutOfRangeError(f"seed must be >= 0, got {seed}")
     checks = []
     for section in _sections(seed, trials, monte_carlo):
         for c in section:

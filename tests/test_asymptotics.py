@@ -419,6 +419,8 @@ class TestPredictions:
     def test_qmax_domain(self):
         with pytest.raises(ValueError, match="q_max"):
             predict(_cp("1,3"), 0.0, q_max=3)
+        with pytest.raises(OutOfRangeError, match="q_max must be <= 1200, got 1201"):
+            predict(_cp("1,3"), 0.0, q_max=1201)
 
 
 class TestTwoPath:

@@ -172,6 +172,11 @@ class TestPackageErrors:
             # 2m = 6 is below n*min(D) = 8, so building the weight table would fail first.
             (["sample", "--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
             (["experiment", "--degrees", "1,3", "--n", "8", "--m", "3", "--seed", "-1"], "OutOfRangeError", "seed must be >= 0"),
+            # Refused before any series is summed: unbounded, this one ran for minutes.
+            (["predict", "--degrees", "1,3", "--mu=0", "--qmax", "100000"], "OutOfRangeError",
+             "q_max must be <= 1200, got 100000"),
+            (["experiment", *_FEASIBLE, "--trials", "1", "--qmax", "1201"], "OutOfRangeError",
+             "q_max must be <= 1200, got 1201"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):
@@ -296,6 +301,12 @@ class TestExperiment:
         assert doc["seed"] == 3
         assert len(doc["rows"]) == 5
 
+    def test_unknown_format_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main([*self.BASE, "--format", "yaml", "--no-compare"])
+        assert excinfo.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
     def test_out_file_and_row_count_note(self, capsys, tmp_path):
         path = tmp_path / "rows.csv"
         assert main([*self.BASE, "--no-compare", "--out", str(path)]) == 0
@@ -394,6 +405,10 @@ class TestVerify:
     @pytest.mark.parametrize("argv", [["--trials", "0"], ["--skip-monte-carlo", "--trials", "-1"]])
     def test_bad_trial_count_fails_before_the_first_section(self, argv, capsys):
         _assert_error_line(["verify", *argv], "OutOfRangeError", "trials must be >= 1", capsys)
+
+    @pytest.mark.parametrize("argv", [["--seed", "-1"], ["--skip-monte-carlo", "--seed", "-1"]])
+    def test_negative_seed_fails_before_the_first_section(self, argv, capsys):
+        _assert_error_line(["verify", *argv], "OutOfRangeError", "seed must be >= 0, got -1", capsys)
 
 
 class TestConsoleScript:

@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from degwin import critical
 from degwin.critical import CriticalPoint, critical_point, petrov_profile, root1
-from degwin.degset import DegreeSet, egf_eval, parse_degree_set, phi0
+from degwin.degset import DegreeSet, egf_eval, parse_degree_set, periodicity, phi0
 from degwin.errors import OutOfRangeError
 
 from oracles import phi1
@@ -290,19 +290,22 @@ class TestAngularProfile:
         ds = parse_degree_set("0,1,4,5")  # period 1
         cp = critical_point(ds)
         prof = petrov_profile(ds, 0.8 * cp.zhat, 0.7)
-        assert prof.period == 1
-        assert prof.argmax_index == 0
+        assert periodicity(ds) == 1
+        assert int(np.argmax(prof.values)) == 0
         assert prof.max_cell_offset <= 1.0
-        assert prof.margin > 0.0
+        # The peak stands clear: every grid value more than one cell from
+        # angle 0 lies strictly below it.
+        grid = len(prof.values)
+        assert prof.values[0] > prof.values[2 : grid - 1].max()
 
     def test_periodic_peaks_at_rational_angles(self):
         ds = parse_degree_set("1,3")  # period 2
         cp = critical_point(ds)
         prof = petrov_profile(ds, 0.9 * min(root1(ds, 0.7), cp.zhat), 0.7)
-        assert prof.period == 2
+        assert periodicity(ds) == 2
         assert prof.max_cell_offset <= 1.0
-        half = prof.grid_size // 2
-        top = prof.values[prof.argmax_index]
+        half = len(prof.values) // 2
+        top = prof.values.max()
         assert prof.values[half] == pytest.approx(top, abs=1e-9 * max(1.0, abs(top)))
 
     def test_rejects_radius_beyond_bound(self):

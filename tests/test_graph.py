@@ -155,7 +155,7 @@ class TestComponents:
         comps = nx_components(g)
         got = [np.flatnonzero(labels == c).tolist() for c in range(sizes.size)]
         assert got == [list(c.vertices) for c in comps]
-        assert sizes.tolist() == [c.size for c in comps]
+        assert sizes.tolist() == [len(c.vertices) for c in comps]
         assert edge_counts.tolist() == [c.edge_count for c in comps]
         assert int(edge_counts.sum()) == g.m
 
@@ -279,7 +279,7 @@ class TestKernel:
             assert len(interiors) == sum(e.length - 1 for e in k.edges)
             assert set(interiors) | set(k.vertices) == comp_core
             peeled = set(comp.vertices) - comp_core
-            assert len(k.vertices) + len(interiors) + len(peeled) == comp.size
+            assert len(k.vertices) + len(interiors) + len(peeled) == len(comp.vertices)
             # Symmetry weight is a probability-like rational.
             w = compensation_factor(k)
             assert 0 < w <= 1

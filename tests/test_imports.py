@@ -1,11 +1,12 @@
 """Every import of the package is used where it is made, every error class
 has a user, every name the package defines (private or public, module-level,
-method or property) is read by the package itself, the theory commands start
-without the graph libraries, and a module loads only the modules it imports.
+method or property) and every dataclass field is read by the package itself,
+the theory commands start without the graph libraries, and a module loads
+only the modules it imports.
 
-A public name that only the tests read belongs in the tests; the few public
-names kept without a reader in the package are listed in ``UNREAD_PUBLIC``,
-each with its reason."""
+A public name or field that only the tests read belongs in the tests; the
+few kept without a reader in the package are listed in ``UNREAD_PUBLIC`` and
+``UNREAD_FIELDS``, each with its reason."""
 
 import ast
 import os
@@ -96,9 +97,13 @@ def names_read(tree) -> set[str]:
     return read
 
 
+def package_trees() -> dict[str, ast.Module]:
+    return {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+
+
 def unread(private: bool) -> list[str]:
     """Package names, private or public, that no module of the package reads."""
-    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in SRC.glob("*.py")}
+    trees = package_trees()
     read = set().union(*map(names_read, trees.values()))
     return [
         f"{module}.{qual}"
@@ -128,6 +133,54 @@ def test_every_public_name_is_read():
     # pipeline, the CLI or the benchmark: one that only the tests read belongs
     # in the tests, and one that nothing reads goes.
     assert sorted(unread(private=False)) == sorted(UNREAD_PUBLIC)
+
+
+def dataclass_fields(tree) -> list[tuple[str, str]]:
+    """(class name, field name) of every annotated field of a
+    ``@dataclass`` class body."""
+    found = []
+    for node in tree.body:
+        if not isinstance(node, ast.ClassDef):
+            continue
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
+        if any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            found += [
+                (node.name, field.target.id)
+                for field in node.body
+                if isinstance(field, ast.AnnAssign) and isinstance(field.target, ast.Name)
+            ]
+    return found
+
+
+# Fields that nothing in the package reads as an attribute, each kept for a
+# reason.  PointAggregate's fields are left out as a class: ``asdict`` writes
+# them whole into the JSON output.
+UNREAD_FIELDS = {
+    "asymptotics.TheoryPrediction.q_max":
+        "the benchmark's truncation checks read it; it goes with the whole excess law",
+    "asymptotics.TwoPathConstants.b2_squared": "the benchmark's 2-path identity check reads it",
+    "asymptotics.TwoPathConstants.second_moment": "the benchmark's 2-path identity check reads it",
+}
+
+
+def test_every_field_is_read():
+    # A dataclass field that only the tests read is state the package carries
+    # for nobody.  Fields match by attribute name, as the name lint does, so a
+    # field that shares its name with an attribute read elsewhere passes.
+    trees = package_trees()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    unread_fields = [
+        f"{module}.{cls}.{name}"
+        for module, tree in sorted(trees.items())
+        for cls, name in dataclass_fields(tree)
+        if cls != "PointAggregate" and name not in read
+    ]
+    assert sorted(unread_fields) == sorted(UNREAD_FIELDS)
 
 
 def modules_loaded_by(code: str) -> set[str]:
