@@ -435,7 +435,7 @@ class TwoPathConstants:
     second_moment: float
 
 
-def twopath_constants(cp: CriticalPoint, mu: float, q: int = 1) -> TwoPathConstants:
+def twopath_constants(cp: CriticalPoint, mu: float, q: int) -> TwoPathConstants:
     """Longest-2-path constants B1, B2 at excess q >= 1 from bigB ratios.
 
     An excess-0 point has no kernel and so no chains: q = 0 is refused.

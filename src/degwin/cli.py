@@ -72,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mu", required=True, type=_comma_list(float),
                    help="comma list; use --mu=-2,0,2 for negative values")
     p.add_argument("--qmax", default=20, type=int,
-                   help="truncation of the excess distribution, 4 to 1200")
+                   help="truncation of the excess distribution, 6 to 1200")
     fmt = p.add_mutually_exclusive_group()
     fmt.add_argument("--json", action="store_true")
     fmt.add_argument("--csv", action="store_true")
@@ -157,6 +157,11 @@ def _predict_row(cp, mu: float, qmax: int) -> dict:
 def _cmd_predict(args) -> int:
     if not args.mu:
         raise OutOfRangeError("--mu names no window location")
+    if args.qmax < PREDICT_Q_SHOWN:
+        raise OutOfRangeError(
+            f"q_max must be >= {PREDICT_Q_SHOWN} for predict, which shows "
+            f"P(0)..P({PREDICT_Q_SHOWN}), got {args.qmax}"
+        )
     ds = parse_degree_set(args.degrees)
     cp = critical_point(ds)
     rows = [_predict_row(cp, mu, args.qmax) for mu in args.mu]

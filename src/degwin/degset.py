@@ -83,7 +83,7 @@ class DegreeSet:
         return cls(tuple(sorted(set(int(d) for d in degrees))))
 
     @classmethod
-    def from_rule(cls, rule: str, bound: int = DEFAULT_BOUND) -> "DegreeSet":
+    def from_rule(cls, rule: str, bound: int) -> "DegreeSet":
         """The degrees 0..bound that satisfy the rule."""
         if rule not in _RULES:
             raise DegreeSetError(

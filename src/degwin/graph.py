@@ -7,9 +7,10 @@ Vertices are labeled 1..n.  The decomposition chain used everywhere below:
 
 A component's excess is edges - vertices: trees have -1, unicycles 0, and
 "complex" components have excess >= 1.  Only complex components own a kernel;
-every kernel vertex ("corner") has multigraph degree >= 3 there.  The peel
-also records, per 2-core vertex, the sprouting trees pruned off it (their
-heights and internal diameters), which the exact path statistics need.
+every kernel vertex ("corner") has multigraph degree >= 3 there.  From the
+peel, sprout_data keeps two facts per 2-core vertex about the sprouting
+trees pruned off it: their height, and the longest path that stays inside
+them.  The exact path statistics need nothing else of the trees.
 
 compensation_factor is the multigraph symmetry weight
 1 / prod_x (2^{loops at x} prod_{y >= x} multiplicity(x,y)!).
@@ -107,18 +108,6 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
-@dataclass(frozen=True)
-class Component:
-    """A connected component with its edge count and excess."""
-
-    vertices: tuple[int, ...]
-    edge_count: int
-
-    @property
-    def excess(self) -> int:
-        return self.edge_count - len(self.vertices)
-
-
 def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component label per vertex plus per-component sizes and edge counts.
 
@@ -157,16 +146,16 @@ class PeelResult:
     order: tuple[int, ...]
 
 
-def two_core(g: Graph, vertices: Iterable[int] | None = None) -> PeelResult:
+def two_core(g: Graph, vertices: Iterable[int]) -> PeelResult:
     """Peel vertices of degree <= 1 until only the 2-core remains.
 
     The peel is first in, first out, seeded lowest vertex first.
-    ``vertices`` restricts it to a union of components (default: the whole
-    graph); it then removes the vertices in it in the same order, with the
-    same parents, as the whole-graph peel does.
+    ``vertices`` is a union of components; the peel removes the vertices in
+    it in the same order, with the same parents, as a peel of the whole
+    graph does.
     """
     adj = g.adj
-    verts = range(1, g.n + 1) if vertices is None else sorted(vertices)
+    verts = sorted(vertices)
     deg = [len(a) for a in adj]
     queue = deque(v for v in verts if deg[v] <= 1)
     removed = bytearray(g.n + 1)
@@ -190,51 +179,42 @@ def two_core(g: Graph, vertices: Iterable[int] | None = None) -> PeelResult:
 
 @dataclass(frozen=True)
 class SproutData:
-    """Sprouting-tree summary per 2-core vertex.
+    """Sprouting-tree summary per 2-core vertex x that has trees.
 
-    ``height1``/``height2`` give the two tallest tree heights rooted at each
-    core vertex (0 when absent); ``tree_diameter`` maps each tree root (the
-    peeled neighbour of a core vertex) to the longest path inside that tree.
+    ``height1[x]`` is the height of the tallest tree rooted at x.
+    ``tree_path[x]`` is the longest path that stays inside the trees at x:
+    two branches joined at x, or the inside of one tree.
     """
 
     height1: dict[int, int]
-    height2: dict[int, int]
-    tree_diameter: dict[int, int]
+    tree_path: dict[int, int]
 
 
 def sprout_data(g: Graph, peel: PeelResult) -> SproutData:
-    """Heights and internal diameters of the pruned trees."""
+    """Heights and tree-only longest paths of the pruned trees."""
     children: dict[int, list[int]] = {}
     for v in peel.order:
         p = peel.parent[v]
         if p is not None:
             children.setdefault(p, []).append(v)
-    height_below: dict[int, int] = {}
-    diam_in: dict[int, int] = {}
-    # Children are always peeled before the vertex they point to, so a single
-    # pass in removal order sees every subtree bottom-up.
-    for v in peel.order:
+    sprouting = [x for x in peel.core_vertices if x in children]
+    height: dict[int, int] = {}
+    inside: dict[int, int] = {}
+    # Children are always peeled before the vertex they point to, and the
+    # 2-core vertices come last, so a single pass sees every subtree
+    # bottom-up.
+    for v in (*peel.order, *sprouting):
         kids = children.get(v)
         if kids is None:
-            height_below[v] = diam_in[v] = 0
+            height[v] = inside[v] = 0
             continue
-        branches = sorted((1 + height_below[c] for c in kids), reverse=True)
-        height_below[v] = branches[0]
-        through = sum(branches[:2])
-        diam_in[v] = max([through] + [diam_in[c] for c in kids])
-    height1: dict[int, int] = {}
-    height2: dict[int, int] = {}
-    tree_diameter: dict[int, int] = {}
-    for x in peel.core_vertices:
-        roots = children.get(x, ())
-        if not roots:
-            continue
-        hs = sorted((1 + height_below[r] for r in roots), reverse=True)
-        height1[x] = hs[0]
-        height2[x] = hs[1] if len(hs) > 1 else 0
-        for r in roots:
-            tree_diameter[r] = diam_in[r]
-    return SproutData(height1=height1, height2=height2, tree_diameter=tree_diameter)
+        branches = sorted((1 + height[c] for c in kids), reverse=True)
+        height[v] = branches[0]
+        inside[v] = max([sum(branches[:2])] + [inside[c] for c in kids])
+    return SproutData(
+        height1={x: height[x] for x in sprouting},
+        tree_path={x: inside[x] for x in sprouting},
+    )
 
 
 @dataclass(frozen=True)
@@ -255,17 +235,16 @@ class KernelEdge:
 class KernelMultigraph:
     """The kernel (3-core) of one complex component.
 
-    Corner vertices keep their original labels.  ``tree_height`` /
-    ``tree_height2`` / ``tree_diameter_bonus`` carry the sprouting-tree data
-    for every 2-core vertex of the component (corners and chain interiors),
-    keyed as in SproutData.
+    Corner vertices keep their original labels.  ``tree_height`` is
+    SproutData's ``height1`` for the component's 2-core vertices (corners
+    and chain interiors); ``tree_path`` is the longest path that stays
+    inside the trees at one of them.
     """
 
     vertices: tuple[int, ...]
     edges: tuple[KernelEdge, ...]
     tree_height: dict[int, int] = field(default_factory=dict)
-    tree_height2: dict[int, int] = field(default_factory=dict)
-    tree_diameter_bonus: dict[int, int] = field(default_factory=dict)
+    tree_path: int = 0
 
     @property
     def excess(self) -> int:
@@ -273,26 +252,23 @@ class KernelMultigraph:
 
 
 def kernel(
-    g: Graph, comp: Component, peel: PeelResult, sprouts: SproutData
+    g: Graph, vertices: Iterable[int], peel: PeelResult, sprouts: SproutData
 ) -> KernelMultigraph:
     """Contract the degree-2 chains of a complex component's 2-core.
 
-    Requires comp.excess >= 1 (only complex components have corners).  The
-    chain interiors and the sprouting-tree data of the component's 2-core
-    vertices are kept for the exact path statistics.
+    ``vertices`` are the component's vertices.  A tree or a unicycle has no
+    corner and is refused.  The chain interiors and the sprouting-tree data
+    of the component's 2-core vertices are kept for the exact path
+    statistics.
     """
-    if comp.excess < 1:
-        raise ValueError(
-            f"kernel defined only for complex components, got excess {comp.excess}"
-        )
-    core = [v for v in comp.vertices if v in peel.core_vertices]
+    core = [v for v in vertices if v in peel.core_vertices]
     core_set = set(core)
     core_adj = {v: [w for w in g.adj[v] if w in core_set] for v in core}
     corners = sorted(v for v in core if len(core_adj[v]) >= 3)
     if not corners:
         raise ValueError(
-            "complex component's 2-core has no corner vertex; "
-            "this cannot happen for excess >= 1"
+            "kernel defined only for complex components: "
+            "the 2-core has no corner vertex"
         )
     corner_set = set(corners)
     used: set[tuple[int, int]] = set()
@@ -324,13 +300,8 @@ def kernel(
     return KernelMultigraph(
         vertices=tuple(corners),
         edges=tuple(edges),
-        tree_height={v: h for v, h in sprouts.height1.items() if v in core_set},
-        tree_height2={v: h for v, h in sprouts.height2.items() if v in core_set},
-        tree_diameter_bonus={
-            r: d
-            for r, d in sprouts.tree_diameter.items()
-            if peel.parent.get(r) in core_set
-        },
+        tree_height={v: sprouts.height1[v] for v in core if v in sprouts.height1},
+        tree_path=max(sprouts.tree_path.get(v, 0) for v in core),
     )
 
 

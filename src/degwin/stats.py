@@ -8,7 +8,8 @@ distinct corners plus end extensions (deepest sprouting tree at a terminal
 corner, a partial entry into an unused incident chain, gaining position +
 tree bonus, or a double entry into one chain from both of its ends), with
 two extra families — both endpoints interior to one chain, scanned once per
-chain, and paths confined to the sprouting trees of one vertex.  In-chain
+chain, and paths confined to the sprouting trees of one 2-core vertex,
+which the kernel carries as one number, ``tree_path``.  In-chain
 pairs that touch a corner, and a loop's wrap-around pairs, are kernel paths
 of zero chains or one chain and are left to the kernel-path search.  Cycles
 are kernel cycles with no tree bonuses.  Planarity is decided on the kernel
@@ -27,7 +28,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .graph import (
-    Component,
     Graph,
     KernelMultigraph,
     component_labels,
@@ -214,10 +214,11 @@ def longest_path(k: KernelMultigraph) -> int:
     """Exact longest simple path (in edges) of one complex component."""
     corners, cidx, adj, prefix = _kernel_index(k)
     h1 = k.tree_height
-    h2 = k.tree_height2
-    # Paths confined to the sprouting trees of one 2-core vertex.
-    best = max(k.tree_diameter_bonus.values(), default=0)
-    best = max(best, max((h + h2.get(x, 0) for x, h in h1.items()), default=0))
+    # Paths confined to the sprouting trees of one 2-core vertex, two
+    # branches at a corner among them.  So a corner's only tree end option
+    # is its tallest tree h1: a second-tallest one would pair with the same
+    # partners as h1, or with h1 itself inside tree_path.
+    best = k.tree_path
     # Per chain, with t the tree heights along it and positions 0..L:
     # up[i] = t[i] + i and down[i] = t[i] + L - i are the gains of entering
     # the chain from u or from v and ending at i; back[i] + up[j] =
@@ -268,10 +269,7 @@ def longest_path(k: KernelMultigraph) -> int:
         opts: list[tuple[int, object]] = [(0, None)]
         hc = h1.get(c, 0)
         if hc:
-            opts.append((hc, ("t", ci, 0)))
-        hc2 = h2.get(c, 0)
-        if hc2:
-            opts.append((hc2, ("t", ci, 1)))
+            opts.append((hc, ("t", ci)))
         for i, side in incident_halves[ci]:
             if used >> i & 1:
                 continue
@@ -391,14 +389,8 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
     excess = edge_counts - sizes
     largest = int(sizes.max())
     largest_excess = int(excess.max())
-    complex_comps = [
-        Component(
-            vertices=tuple(np.flatnonzero(labels == c).tolist()),
-            edge_count=int(edge_counts[c]),
-        )
-        for c in np.flatnonzero(excess >= 1)
-    ]
-    if not complex_comps:
+    complex_ids = np.flatnonzero(excess >= 1)
+    if not complex_ids.size:
         return GraphSummary(
             attempts=attempts,
             largest_component=largest,
@@ -410,16 +402,15 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
             complex_circumference=-1,
             planar=True,
         )
-    complex_vertices = [v for comp in complex_comps for v in comp.vertices]
-    peel = two_core(g, vertices=complex_vertices)
+    comp_vertices = [np.flatnonzero(labels == c).tolist() for c in complex_ids]
+    complex_vertices = [v for vs in comp_vertices for v in vs]
+    peel = two_core(g, complex_vertices)
     sprouts = sprout_data(g, peel)
-    total_excess = 0
     diam = lp = circ = 0
     planar = True
     lengths_exact = True
-    for comp in complex_comps:
-        total_excess += comp.excess
-        kern = kernel(g, comp, peel, sprouts)
+    for vs in comp_vertices:
+        kern = kernel(g, vs, peel, sprouts)
         if kern.excess > MAX_KERNEL_EXCESS:
             # Exhaustive path search is refused far above the window; the
             # lengths are reported as the not-computed sentinel -1 (planarity
@@ -436,7 +427,7 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
         attempts=attempts,
         largest_component=largest,
         largest_excess=largest_excess,
-        total_excess=total_excess,
+        total_excess=int(excess[complex_ids].sum()),
         complex_size=len(complex_vertices),
         complex_diameter=diam,
         complex_longest_path=lp,

@@ -360,10 +360,7 @@ def _sections(seed: int, trials: int, monte_carlo: bool):
 
 
 def run_verify(
-    seed: int = 0,
-    trials: int = 400,
-    monte_carlo: bool = True,
-    log: Callable[[str], None] = print,
+    seed: int, trials: int, monte_carlo: bool, log: Callable[[str], None]
 ) -> VerifyReport:
     """Run the suite; returns a report whose .ok reflects the gated checks."""
     if trials < 1:

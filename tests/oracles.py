@@ -4,8 +4,8 @@ The graph and sequence oracles work directly on vertex/edge lists with
 exponential or exhaustive algorithms, or with networkx, and deliberately
 share no logic with the package's kernel-based pipeline or its log-space DP:
 these are the refereeing implementations, kept slow and obvious.  The only
-package code they touch is the ``Graph`` and ``Component`` records, and the
-JSONL wire format they read and write.  The window-function helpers at the
+package code they touch is the ``Graph`` record, and the JSONL wire format
+they read and write.  The window-function helpers at the
 end are the exception: ``bigB`` and ``printed_window_form`` are built from
 the package's own series evaluator, so they record the paper's printed forms
 rather than referee the series.
@@ -23,17 +23,17 @@ from fractions import Fraction
 import networkx as nx
 import numpy as np
 
-from degwin.graph import Component, Graph, KernelMultigraph, from_jsonl_line, to_jsonl_line
+from degwin.graph import Graph, KernelMultigraph, from_jsonl_line, to_jsonl_line
 
 
-def nx_components(g: Graph) -> list[Component]:
-    """Connected components by networkx, ordered by smallest vertex, as the
-    ``Component`` records that ``kernel`` takes."""
+def nx_components(g: Graph) -> list[tuple[list[int], int]]:
+    """Connected components by networkx, ordered by smallest vertex, as
+    (sorted vertices, edge count) pairs."""
     gx = nx.Graph()
     gx.add_nodes_from(range(1, g.n + 1))
     gx.add_edges_from(g.edges)
     return [
-        Component(vertices=tuple(verts), edge_count=gx.subgraph(verts).number_of_edges())
+        (verts, gx.subgraph(verts).number_of_edges())
         for verts in sorted(sorted(c) for c in nx.connected_components(gx))
     ]
 
@@ -83,8 +83,8 @@ def brute_diameter(g: Graph, verts) -> int:
     """Largest BFS eccentricity over the induced components; -1 if empty."""
     verts = set(verts)
     best = -1
-    for comp in nx_components(g):
-        cv = set(comp.vertices) & verts
+    for comp, _ in nx_components(g):
+        cv = set(comp) & verts
         if not cv:
             continue
         for s in cv:
@@ -126,9 +126,9 @@ def subdivided_planar(k: KernelMultigraph) -> bool:
 def complex_vertices(g: Graph) -> set[int]:
     """Vertices of all components with excess >= 1."""
     out: set[int] = set()
-    for comp in nx_components(g):
-        if comp.excess >= 1:
-            out.update(comp.vertices)
+    for verts, edge_count in nx_components(g):
+        if edge_count > len(verts):
+            out.update(verts)
     return out
 
 

@@ -177,6 +177,9 @@ class TestPackageErrors:
              "q_max must be <= 1200, got 100000"),
             (["experiment", *_FEASIBLE, "--trials", "1", "--qmax", "1201"], "OutOfRangeError",
              "q_max must be <= 1200, got 1201"),
+            # predict prints P(0)..P(6), so it needs at least 7 probabilities.
+            (["predict", "--degrees", "1,3", "--mu=0", "--qmax", "4"], "OutOfRangeError",
+             "q_max must be >= 6 for predict, which shows P(0)..P(6), got 4"),
         ],
     )
     def test_one_line_and_exit_2(self, argv, name, text, capsys):

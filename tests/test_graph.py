@@ -51,11 +51,12 @@ def dumbbell() -> Graph:
 
 
 def complex_kernels(g: Graph):
-    peel = two_core(g)
+    """(vertices, excess, peel, kernel) of each complex component."""
+    peel = two_core(g, range(1, g.n + 1))
     sprouts = sprout_data(g, peel)
-    for comp in nx_components(g):
-        if comp.excess >= 1:
-            yield comp, peel, kernel(g, comp, peel, sprouts)
+    for verts, edge_count in nx_components(g):
+        if edge_count > len(verts):
+            yield verts, edge_count - len(verts), peel, kernel(g, verts, peel, sprouts)
 
 
 def kernel_degree(k, v: int) -> int:
@@ -154,28 +155,28 @@ class TestComponents:
         # The labels split the vertices and edges as networkx's components do.
         comps = nx_components(g)
         got = [np.flatnonzero(labels == c).tolist() for c in range(sizes.size)]
-        assert got == [list(c.vertices) for c in comps]
-        assert sizes.tolist() == [len(c.vertices) for c in comps]
-        assert edge_counts.tolist() == [c.edge_count for c in comps]
+        assert got == [verts for verts, _ in comps]
+        assert sizes.tolist() == [len(verts) for verts, _ in comps]
+        assert edge_counts.tolist() == [edge_count for _, edge_count in comps]
         assert int(edge_counts.sum()) == g.m
 
 
 class TestTwoCore:
     def test_tree_peels_away(self):
         g = Graph(5, [(1, 2), (2, 3), (2, 4), (4, 5)])
-        peel = two_core(g)
+        peel = two_core(g, range(1, 6))
         assert peel.core_vertices == frozenset()
         assert sorted(peel.order) == [1, 2, 3, 4, 5]
 
     def test_cycle_with_pendant_path(self):
         g = Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)])
-        peel = two_core(g)
+        peel = two_core(g, range(1, 6))
         assert peel.core_vertices == frozenset({1, 2, 3})
         assert peel.parent[5] == 4
         assert peel.parent[4] == 3
 
     def test_isolated_vertex_has_no_parent(self):
-        peel = two_core(Graph(2, [(1, 2)]))
+        peel = two_core(Graph(2, [(1, 2)]), range(1, 3))
         assert peel.core_vertices == frozenset()
         late = peel.order[1]
         assert peel.parent[late] is None
@@ -188,45 +189,49 @@ class TestTwoCore:
         m = rng.randint(0, min(2 * n, n * (n - 1) // 2))
         g = random_simple_graph(rng, n, m)
         want = filter_core(g)
-        assert two_core(g).core_vertices == frozenset(want)
+        assert two_core(g, range(1, n + 1)).core_vertices == frozenset(want)
 
 
 class TestSprouts:
     def test_heights_and_tree_diameter(self):
-        # Triangle 1-2-3 with the path 3-4-5-6 and the leaf 3-7 sprouting at 3.
+        # Triangle 1-2-3 with the path 3-4-5-6 and the leaf 3-7 sprouting at
+        # 3: the tree-only path 6-5-4-3-7 joins two branches at 3.
         g = Graph(7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
-        peel = two_core(g)
-        sprouts = sprout_data(g, peel)
+        sprouts = sprout_data(g, two_core(g, range(1, 8)))
         assert sprouts.height1 == {3: 3}
-        assert sprouts.height2 == {3: 1}
-        assert sprouts.tree_diameter == {4: 2, 7: 0}
+        assert sprouts.tree_path == {3: 4}
+        # One tree at 3 whose inside, 6-5-4-8-9, beats its height 3.
+        g = Graph(9, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 8), (8, 9)])
+        sprouts = sprout_data(g, two_core(g, range(1, 10)))
+        assert sprouts.height1 == {3: 3}
+        assert sprouts.tree_path == {3: 4}
 
     def test_no_sprouts(self):
         g = theta_graph()
-        sprouts = sprout_data(g, two_core(g))
+        sprouts = sprout_data(g, two_core(g, range(1, g.n + 1)))
         assert sprouts.height1 == {}
-        assert sprouts.tree_diameter == {}
+        assert sprouts.tree_path == {}
 
 
 class TestKernel:
     def test_theta(self):
         g = theta_graph()
-        ((comp, _, k),) = complex_kernels(g)
-        assert comp.excess == 1
+        ((_, excess, _, k),) = complex_kernels(g)
+        assert excess == 1
         assert k.vertices == (1, 2)
         assert [(e.u, e.v, e.length) for e in k.edges] == [(1, 2, 2)] * 3
         assert k.excess == 1
         assert compensation_factor(k) == Fraction(1, 6)
 
     def test_two_loops_at_one_corner(self):
-        ((_, _, k),) = complex_kernels(figure_eight())
+        ((*_, k),) = complex_kernels(figure_eight())
         assert k.vertices == (1,)
         assert [(e.u, e.v, e.length) for e in k.edges] == [(1, 1, 3)] * 2
         assert kernel_degree(k, 1) == 4
         assert compensation_factor(k) == Fraction(1, 8)
 
     def test_loop_edge_loop(self):
-        ((_, _, k),) = complex_kernels(dumbbell())
+        ((*_, k),) = complex_kernels(dumbbell())
         assert k.vertices == (1, 2)
         assert [(e.u, e.v, e.length) for e in k.edges] == [
             (1, 1, 3),
@@ -237,35 +242,35 @@ class TestKernel:
 
     def test_detail_interiors(self):
         g = theta_graph((3, 2, 4))
-        ((_, _, k),) = complex_kernels(g)
+        ((*_, k),) = complex_kernels(g)
         for e in k.edges:
             assert len(e.interior) == e.length - 1
 
     def test_requires_complex_component(self):
-        g = Graph(3, [(1, 2), (2, 3), (1, 3)])
-        peel = two_core(g)
-        (comp,) = nx_components(g)
-        with pytest.raises(ValueError, match="complex"):
-            kernel(g, comp, peel, sprout_data(g, peel))
+        # A unicycle's 2-core is one cycle, and a tree's is empty.
+        for g in (Graph(3, [(1, 2), (2, 3), (1, 3)]), Graph(3, [(1, 2), (2, 3)])):
+            peel = two_core(g, range(1, 4))
+            with pytest.raises(ValueError, match="complex"):
+                kernel(g, range(1, 4), peel, sprout_data(g, peel))
 
     def test_tree_data_attached(self):
-        # Pendant path of length 2 at a chain-interior vertex of a theta.
+        # Pendant path of length 2 at the chain-interior vertex 3 of a theta,
+        # and branches of lengths 2 and 1 at the chain-interior vertex 5.
         g = theta_graph((3, 3, 3))
-        edges = list(g.edges) + [(3, 9), (9, 10)]
-        g = Graph(10, edges)
-        ((_, _, k),) = complex_kernels(g)
-        assert k.tree_height[3] == 2
-        assert k.tree_height2[3] == 0
-        assert k.tree_diameter_bonus[9] == 1
+        edges = list(g.edges) + [(3, 9), (9, 10), (5, 11), (11, 12), (5, 13)]
+        g = Graph(13, edges)
+        ((*_, k),) = complex_kernels(g)
+        assert k.tree_height == {3: 2, 5: 2}
+        assert k.tree_path == 3
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
     def test_random_invariants(self, seed):
         g = random_complex_graph(random.Random(seed))
         total_kernel_excess = 0
-        for comp, peel, k in complex_kernels(g):
-            comp_core = set(comp.vertices) & peel.core_vertices
-            assert k.excess == comp.excess
+        for verts, excess, peel, k in complex_kernels(g):
+            comp_core = set(verts) & peel.core_vertices
+            assert k.excess == excess
             total_kernel_excess += k.excess
             # Every corner keeps multigraph degree >= 3, loops counted twice.
             assert all(kernel_degree(k, v) >= 3 for v in k.vertices)
@@ -278,8 +283,8 @@ class TestKernel:
             interiors = [v for e in k.edges for v in e.interior]
             assert len(interiors) == sum(e.length - 1 for e in k.edges)
             assert set(interiors) | set(k.vertices) == comp_core
-            peeled = set(comp.vertices) - comp_core
-            assert len(k.vertices) + len(interiors) + len(peeled) == len(comp.vertices)
+            peeled = set(verts) - comp_core
+            assert len(k.vertices) + len(interiors) + len(peeled) == len(verts)
             # Symmetry weight is a probability-like rational.
             w = compensation_factor(k)
             assert 0 < w <= 1

@@ -60,13 +60,29 @@ def complete_bipartite_33() -> Graph:
 
 
 def kernels_of(g: Graph):
-    peel = two_core(g)
+    peel = two_core(g, range(1, g.n + 1))
     sprouts = sprout_data(g, peel)
     return [
-        kernel(g, comp, peel, sprouts)
-        for comp in nx_components(g)
-        if comp.excess >= 1
+        kernel(g, verts, peel, sprouts)
+        for verts, edge_count in nx_components(g)
+        if edge_count > len(verts)
     ]
+
+
+def sprout(g: Graph, at: int, branches, stem: bool) -> Graph:
+    """``g`` with paths of the given lengths hung at vertex ``at``.  With
+    ``stem`` they hang from one new vertex joined to ``at``, as one tree."""
+    edges = list(g.edges)
+    nxt = g.n + 1
+    if stem:
+        edges.append((at, nxt))
+        at, nxt = nxt, nxt + 1
+    for length in branches:
+        prev = at
+        for _ in range(length):
+            edges.append((prev, nxt))
+            prev, nxt = nxt, nxt + 1
+    return Graph(nxt - 1, edges)
 
 
 def shift(g: Graph, offset: int, n: int) -> list[tuple[int, int]]:
@@ -163,6 +179,27 @@ class TestKernelLengths:
         assert k.vertices == (1,)
         assert longest_path(k) == brute_longest_path(g, range(1, 14)) == 8
         assert circumference(k) == brute_circumference(g, range(1, 14)) == 5
+
+    @pytest.mark.parametrize(
+        "builder, lp",
+        [
+            # Two branches at a corner: 5 + 5 beats 5 + the K4's 3.
+            (lambda: sprout(complete_graph(4), 1, (5, 5), stem=False), 10),
+            # One tree at a corner whose inside, 5 + 5, beats its height 6
+            # plus the K4's 3.
+            (lambda: sprout(complete_graph(4), 1, (5, 5), stem=True), 10),
+            # The same two shapes at a chain-interior vertex of a theta, whose
+            # longest path from that vertex is 7.
+            (lambda: sprout(theta_graph((3, 3, 3)), 3, (8, 8), stem=False), 16),
+            (lambda: sprout(theta_graph((3, 3, 3)), 3, (9, 9), stem=True), 18),
+        ],
+        ids=["corner-branches", "corner-tree", "interior-branches", "interior-tree"],
+    )
+    def test_path_inside_the_trees(self, builder, lp):
+        g = builder()
+        (k,) = kernels_of(g)
+        assert k.tree_path == lp
+        assert longest_path(k) == brute_longest_path(g, range(1, g.n + 1)) == lp
 
     def test_excess_guard(self):
         (k,) = kernels_of(complete_graph(10))
