@@ -94,21 +94,9 @@ _MAX_DPS = 1200
 _MAX_Q = 1200
 
 
-def wright_e(q: int) -> Fraction:
-    """Total compensation weight of the cubic multigraphs with excess q.
-
-    e_{q,0} = (6q)! / (2^{5q} 3^{2q} (3q)! (2q)!) exactly.
-    """
-    if q < 0:
-        raise ValueError(f"wright_e needs q >= 0, got {q}")
-    return Fraction(
-        math.factorial(6 * q),
-        (2 ** (5 * q)) * (3 ** (2 * q)) * math.factorial(3 * q) * math.factorial(2 * q),
-    )
-
-
 def _wright_e_series() -> Iterator[Fraction]:
-    """wright_e(0), wright_e(1), ... carried by the exact ratio
+    """e_0, e_1, ...: the total compensation weights of the cubic multigraphs
+    with excess q, carried by the exact ratio
     e_q / e_{q-1} = (6q-1)(6q-3)(6q-5) / (72 q (2q-1)), without factorials."""
     e = Fraction(1)
     q = 0
@@ -130,16 +118,6 @@ PLANAR_KERNEL_WEIGHTS: dict[int, Fraction] = {
 
 
 PLANAR_Q_MAX = max(PLANAR_KERNEL_WEIGHTS)
-
-
-def planar_c(q: int) -> Fraction:
-    """Planar cubic-kernel weight for excess q (tabulated for q <= PLANAR_Q_MAX)."""
-    try:
-        return PLANAR_KERNEL_WEIGHTS[q]
-    except KeyError:
-        raise LookupError(
-            f"planar kernel weights are tabulated only for q <= 4, got {q}"
-        ) from None
 
 
 def _dyadic(v: mp.mpf) -> tuple[int, int]:
@@ -402,7 +380,7 @@ def predict(
         probs = tuple(float(w / total) for w in weights)
         planar_num = mp.mpf(0)
         for q in range(PLANAR_Q_MAX + 1):
-            c = planar_c(q)
+            c = PLANAR_KERNEL_WEIGHTS[q]
             w = mp.mpf(c.numerator) / mp.mpf(c.denominator) * per_q**q * window[q]
             planar_num += w
         planarity = float(planar_num / total)

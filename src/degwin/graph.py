@@ -2,15 +2,18 @@
 
 Vertices are labeled 1..n.  The decomposition chain used everywhere below:
 
-  component_labels  ->  2-core (peel degree <= 1)  ->  kernel (contract
-  the degree-2 chains of the 2-core into weighted multigraph edges)
+  component_labels  ->  adjacency of the complex part  ->  2-core (peel
+  degree <= 1)  ->  kernel (contract the degree-2 chains of the 2-core into
+  weighted multigraph edges)
 
 A component's excess is edges - vertices: trees have -1, unicycles 0, and
 "complex" components have excess >= 1.  Only complex components own a kernel;
-every kernel vertex ("corner") has multigraph degree >= 3 there.  From the
-peel, sprout_data keeps two facts per 2-core vertex about the sprouting
-trees pruned off it: their height, and the longest path that stays inside
-them.  The exact path statistics need nothing else of the trees.
+every kernel vertex ("corner") has multigraph degree >= 3 there.  The
+adjacency is built once, for the complex part only, and the peel and the
+kernel both read it.  From the peel, sprout_data keeps two facts per 2-core
+vertex about the sprouting trees pruned off it: their height, and the
+longest path that stays inside them.  The exact path statistics need nothing
+else of the trees.
 
 compensation_factor is the multigraph symmetry weight
 1 / prod_x (2^{loops at x} prod_{y >= x} multiplicity(x,y)!).
@@ -32,15 +35,14 @@ import numpy as np
 
 
 class Graph:
-    """Immutable simple graph on vertices 1..n with an adjacency index.
+    """Immutable simple graph on vertices 1..n.
 
     The canonical edges (u < v, sorted by (u, v)) are stored once, as the
-    int64 arrays ``u`` and ``v``.  The edge tuple ``edges`` and the
-    adjacency lists are built from them on first use: most sampled graphs
-    only need their component sizes.
+    int64 arrays ``u`` and ``v``.  The edge tuple ``edges`` is built from
+    them on first use: most sampled graphs only need their component sizes.
     """
 
-    __slots__ = ("n", "u", "v", "_edges", "_adj")
+    __slots__ = ("n", "u", "v", "_edges")
 
     def __init__(self, n: int, edges: Sequence[tuple[int, int]]):
         if n < 1:
@@ -73,24 +75,13 @@ class Graph:
 
     def _init(self, n: int, u: np.ndarray, v: np.ndarray) -> None:
         self.n, self.u, self.v = n, u, v
-        self._edges = self._adj = None
+        self._edges = None
 
     @property
     def edges(self) -> tuple[tuple[int, int], ...]:
         if self._edges is None:
             self._edges = tuple(zip(self.u.tolist(), self.v.tolist()))
         return self._edges
-
-    @property
-    def adj(self) -> tuple[tuple[int, ...], ...]:
-        """Neighbours of each vertex in ascending order (index 0 unused)."""
-        if self._adj is None:
-            adj: list[list[int]] = [[] for _ in range(self.n + 1)]
-            for u, v in self.edges:
-                adj[u].append(v)
-                adj[v].append(u)
-            self._adj = tuple(tuple(a) for a in adj)
-        return self._adj
 
     @property
     def m(self) -> int:
@@ -111,8 +102,8 @@ class Graph:
 def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Component label per vertex plus per-component sizes and edge counts.
 
-    ``labels[v]`` for v in 1..n (entry 0 is unused); labels number the
-    components in order of their smallest vertex.
+    ``labels[v]`` for v in 1..n (entry 0 is unused) is the index of v's
+    component into ``sizes`` and ``edge_counts``.
     """
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import connected_components
@@ -121,60 +112,74 @@ def component_labels(g: Graph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     a = csr_matrix(
         (np.ones(u.size, dtype=np.int8), (u - 1, v - 1)), shape=(g.n, g.n)
     )
-    _, raw = connected_components(a, directed=False)
-    _, first = np.unique(raw, return_index=True)
-    rank = np.empty(first.size, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(first.size)
-    labels = np.concatenate(([-1], rank[raw]))
-    sizes = np.bincount(labels[1:], minlength=first.size)
-    edge_counts = np.bincount(labels[u], minlength=first.size)
+    count, raw = connected_components(a, directed=False)
+    labels = np.concatenate(([-1], raw))
+    sizes = np.bincount(raw, minlength=count)
+    edge_counts = np.bincount(labels[u], minlength=count)
     return labels, sizes, edge_counts
+
+
+def adjacency(g: Graph, vertices: Iterable[int]) -> dict[int, list[int]]:
+    """Neighbour lists of the subgraph of ``g`` induced by ``vertices``.
+
+    The keys are in ascending order, and so is each list: the canonical edge
+    order gives it.
+    """
+    keep = np.zeros(g.n + 1, dtype=bool)
+    keep[list(vertices)] = True
+    adj: dict[int, list[int]] = {v: [] for v in np.flatnonzero(keep).tolist()}
+    both = keep[g.u] & keep[g.v]
+    for u, v in zip(g.u[both].tolist(), g.v[both].tolist()):
+        adj[u].append(v)
+        adj[v].append(u)
+    return adj
 
 
 @dataclass(frozen=True)
 class PeelResult:
     """2-core of a graph plus the pruning record.
 
-    ``parent[v]`` is the neighbour v was attached to at the moment it was
-    peeled (None for a vertex peeled at degree 0); following parents leads
-    into the 2-core for components that have one.  ``order`` lists peeled
-    vertices in removal order (children always precede their parent target).
+    ``order`` lists the peeled vertices in removal order.  ``children[w]``
+    lists, in removal order, the vertices peeled while w was their one live
+    neighbour; a vertex peeled at degree 0 is listed under no one.  Children
+    always precede the vertex they are listed under, and following them
+    down from a 2-core vertex walks the trees that sprout there.
     """
 
     core_vertices: frozenset[int]
-    parent: dict[int, int | None]
+    children: dict[int, list[int]]
     order: tuple[int, ...]
 
 
-def two_core(g: Graph, vertices: Iterable[int]) -> PeelResult:
+def two_core(adj: dict[int, list[int]]) -> PeelResult:
     """Peel vertices of degree <= 1 until only the 2-core remains.
 
-    The peel is first in, first out, seeded lowest vertex first.
-    ``vertices`` is a union of components; the peel removes the vertices in
-    it in the same order, with the same parents, as a peel of the whole
-    graph does.
+    ``adj`` maps each vertex, in ascending order, to its neighbours, as
+    ``adjacency`` builds it.  The peel is first in, first out, seeded lowest
+    vertex first.
     """
-    adj = g.adj
-    verts = sorted(vertices)
-    deg = [len(a) for a in adj]
-    queue = deque(v for v in verts if deg[v] <= 1)
-    removed = bytearray(g.n + 1)
-    parent: dict[int, int | None] = {}
+    deg = {v: len(a) for v, a in adj.items()}
+    queue = deque(v for v, d in deg.items() if d <= 1)
+    children: dict[int, list[int]] = {}
     order = []
     while queue:
         v = queue.popleft()
-        if removed[v] or deg[v] > 1:
+        # A vertex is queued at degree 1 and again at 0; a peeled one is
+        # gone from deg.
+        if deg.get(v, 2) > 1:
             continue
-        removed[v] = 1
+        del deg[v]
         order.append(v)
-        live = [w for w in adj[v] if not removed[w]]
-        parent[v] = live[0] if live else None
-        for w in live:
-            deg[w] -= 1
-            if deg[w] <= 1:
-                queue.append(w)
-    core = frozenset(v for v in verts if not removed[v])
-    return PeelResult(core_vertices=core, parent=parent, order=tuple(order))
+        # At most one neighbour is still live: the one v hangs from.
+        for w in adj[v]:
+            if w in deg:
+                children.setdefault(w, []).append(v)
+                deg[w] -= 1
+                if deg[w] <= 1:
+                    queue.append(w)
+    return PeelResult(
+        core_vertices=frozenset(deg), children=children, order=tuple(order)
+    )
 
 
 @dataclass(frozen=True)
@@ -190,18 +195,14 @@ class SproutData:
     tree_path: dict[int, int]
 
 
-def sprout_data(g: Graph, peel: PeelResult) -> SproutData:
+def sprout_data(peel: PeelResult) -> SproutData:
     """Heights and tree-only longest paths of the pruned trees."""
-    children: dict[int, list[int]] = {}
-    for v in peel.order:
-        p = peel.parent[v]
-        if p is not None:
-            children.setdefault(p, []).append(v)
+    children = peel.children
     sprouting = [x for x in peel.core_vertices if x in children]
     height: dict[int, int] = {}
     inside: dict[int, int] = {}
-    # Children are always peeled before the vertex they point to, and the
-    # 2-core vertices come last, so a single pass sees every subtree
+    # Children are always peeled before the vertex they are listed under,
+    # and the 2-core vertices come last, so a single pass sees every subtree
     # bottom-up.
     for v in (*peel.order, *sprouting):
         kids = children.get(v)
@@ -252,53 +253,46 @@ class KernelMultigraph:
 
 
 def kernel(
-    g: Graph, vertices: Iterable[int], peel: PeelResult, sprouts: SproutData
+    adj: dict[int, list[int]],
+    vertices: Iterable[int],
+    peel: PeelResult,
+    sprouts: SproutData,
 ) -> KernelMultigraph:
     """Contract the degree-2 chains of a complex component's 2-core.
 
-    ``vertices`` are the component's vertices.  A tree or a unicycle has no
-    corner and is refused.  The chain interiors and the sprouting-tree data
-    of the component's 2-core vertices are kept for the exact path
-    statistics.
+    ``adj`` is the adjacency the peel ran on, and ``vertices`` are the
+    component's vertices.  A tree or a unicycle has no corner and is
+    refused.  Each chain is walked from both of its ends and kept from the
+    end whose (corner, first step) pair is smaller, so it runs from its
+    smaller corner, and a loop from its smaller first step.  The chain
+    interiors and the sprouting-tree data of the component's 2-core vertices
+    are kept for the exact path statistics.
     """
-    core = [v for v in vertices if v in peel.core_vertices]
-    core_set = set(core)
-    core_adj = {v: [w for w in g.adj[v] if w in core_set] for v in core}
-    corners = sorted(v for v in core if len(core_adj[v]) >= 3)
+    in_core = peel.core_vertices
+    core = [v for v in vertices if v in in_core]
+    core_adj = {v: [w for w in adj[v] if w in in_core] for v in core}
+    corners = [v for v in core if len(core_adj[v]) >= 3]
     if not corners:
         raise ValueError(
             "kernel defined only for complex components: "
             "the 2-core has no corner vertex"
         )
-    corner_set = set(corners)
-    used: set[tuple[int, int]] = set()
     edges: list[KernelEdge] = []
-
-    def mark(a: int, b: int) -> bool:
-        key = (a, b) if a < b else (b, a)
-        if key in used:
-            return False
-        used.add(key)
-        return True
-
     for c in corners:
         for first in core_adj[c]:
-            if not mark(c, first):
-                continue
             prev, cur = c, first
             interior = []
-            while cur not in corner_set:
+            # A 2-core vertex that is not a corner has exactly two neighbours.
+            while len(core_adj[cur]) == 2:
                 interior.append(cur)
-                nxt = next(w for w in core_adj[cur] if w != prev)
-                mark(cur, nxt)
-                prev, cur = cur, nxt
-            u, v, inner = c, cur, tuple(interior)
-            if u > v:
-                u, v, inner = v, u, inner[::-1]
-            edges.append(KernelEdge(u=u, v=v, length=len(interior) + 1, interior=inner))
+                a, b = core_adj[cur]
+                prev, cur = cur, b if a == prev else a
+            if (c, first) < (cur, prev):
+                length = len(interior) + 1
+                edges.append(KernelEdge(c, cur, length, tuple(interior)))
     edges.sort(key=lambda e: (e.u, e.v, e.length, e.interior))
     return KernelMultigraph(
-        vertices=tuple(corners),
+        vertices=tuple(sorted(corners)),
         edges=tuple(edges),
         tree_height={v: sprouts.height1[v] for v in core if v in sprouts.height1},
         tree_path=max(sprouts.tree_path.get(v, 0) for v in core),

@@ -16,6 +16,10 @@ are kernel cycles with no tree bonuses.  Planarity is decided on the kernel
 alone, at any size: the graph is planar iff all complex components' kernels
 are.
 
+``summarize`` splits the graph into components once, builds the adjacency
+of the complex part once, and hands the adjacency to the peel and the
+kernels and the per-component vertex lists to the kernels and the diameter.
+
 All lengths are counted in edges.
 """
 
@@ -23,13 +27,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graph import (
     Graph,
     KernelMultigraph,
+    adjacency,
     component_labels,
     kernel,
     sprout_data,
@@ -96,23 +101,23 @@ class GraphSummary:
                 raise ValueError(f"inconsistent complex summary: {self}")
 
 
-def diameter(g: Graph, vertices: Iterable[int]) -> int:
+def diameter(g: Graph, components: Sequence[Sequence[int]]) -> int:
     """Exact maximum (per component) of shortest-path distances.
 
-    Works on the subgraph induced by ``vertices``; returns -1 for an empty
-    vertex set.  Each component is solved by iFUB (Crescenzi et al., TCS
-    2013): after a double sweep picks a central start c, the vertices are
-    visited by decreasing BFS level from c, and once the largest
-    eccentricity found reaches 2i no pair of vertices at levels <= i can
-    beat it.  The result equals the all-pairs maximum; on the tree-like
-    complex part it needs only a handful of BFS passes.
+    ``components`` are the vertex lists of the components of an induced
+    subgraph of ``g``; returns -1 when there are none.  Each component is
+    solved by iFUB (Crescenzi et al., TCS 2013): after a double sweep from
+    its first vertex picks a central start c, the vertices are visited by
+    decreasing BFS level from c, and once the largest eccentricity found
+    reaches 2i no pair of vertices at levels <= i can beat it.  The result
+    equals the all-pairs maximum; on the tree-like complex part it needs
+    only a handful of BFS passes.
     """
     from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
 
-    verts = np.array(sorted(set(vertices)), dtype=np.int64)
-    if not verts.size:
+    if not components:
         return -1
+    verts = np.sort(np.concatenate(components))
     index = np.full(g.n + 1, -1, dtype=np.int64)
     index[verts] = np.arange(verts.size)
     iu, iv = index[g.u], index[g.v]
@@ -122,13 +127,9 @@ def diameter(g: Graph, vertices: Iterable[int]) -> int:
         (np.ones(2 * iu.size), (np.concatenate((iu, iv)), np.concatenate((iv, iu)))),
         shape=(verts.size, verts.size),
     )
-    _, labels = connected_components(a, directed=True, connection="strong")
-    best = 0
-    for members in np.split(
-        np.argsort(labels, kind="stable"), np.cumsum(np.bincount(labels))[:-1]
-    ):
-        best = max(best, _component_diameter(a, members))
-    return best
+    return max(
+        _component_diameter(a, int(index[vs[0]]), len(vs)) for vs in components
+    )
 
 
 def _bfs(a, source: int) -> tuple[list[int], np.ndarray]:
@@ -152,10 +153,11 @@ def _eccentricity(a, source: int) -> tuple[int, int, np.ndarray]:
     return ecc, far, parent
 
 
-def _component_diameter(a, members: np.ndarray) -> int:
-    if members.size <= 2:
-        return members.size - 1
-    _, x, _ = _eccentricity(a, int(members[0]))
+def _component_diameter(a, start: int, size: int) -> int:
+    """iFUB on the component of ``start``, which has ``size`` vertices."""
+    if size <= 2:
+        return size - 1
+    _, x, _ = _eccentricity(a, start)
     lower, centre, parent = _eccentricity(a, x)
     for _ in range(lower - lower // 2):
         centre = parent[centre]
@@ -403,14 +405,14 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
             planar=True,
         )
     comp_vertices = [np.flatnonzero(labels == c).tolist() for c in complex_ids]
-    complex_vertices = [v for vs in comp_vertices for v in vs]
-    peel = two_core(g, complex_vertices)
-    sprouts = sprout_data(g, peel)
-    diam = lp = circ = 0
+    adj = adjacency(g, [v for vs in comp_vertices for v in vs])
+    peel = two_core(adj)
+    sprouts = sprout_data(peel)
+    lp = circ = 0
     planar = True
     lengths_exact = True
     for vs in comp_vertices:
-        kern = kernel(g, vs, peel, sprouts)
+        kern = kernel(adj, vs, peel, sprouts)
         if kern.excess > MAX_KERNEL_EXCESS:
             # Exhaustive path search is refused far above the window; the
             # lengths are reported as the not-computed sentinel -1 (planarity
@@ -420,7 +422,7 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
             lp = max(lp, longest_path(kern))
             circ = max(circ, circumference(kern))
         planar = planar and is_planar(kern)
-    diam = diameter(g, complex_vertices)
+    diam = diameter(g, comp_vertices)
     if not lengths_exact:
         lp = circ = -1
     return GraphSummary(
@@ -428,7 +430,7 @@ def summarize(g: Graph, attempts: int = 0) -> GraphSummary:
         largest_component=largest,
         largest_excess=largest_excess,
         total_excess=int(excess[complex_ids].sum()),
-        complex_size=len(complex_vertices),
+        complex_size=len(adj),
         complex_diameter=diam,
         complex_longest_path=lp,
         complex_circumference=circ,

@@ -28,6 +28,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import islice
 from typing import Callable
 
 import numpy as np
@@ -35,11 +36,11 @@ import numpy as np
 import mpmath as mp
 
 from .asymptotics import (
+    PLANAR_KERNEL_WEIGHTS,
+    _wright_e_series,
     bigA_asymptotic,
     bigA_classical,
-    planar_c,
     rejection_rate,
-    wright_e,
 )
 from .critical import critical_point, petrov_profile, root1
 from .degset import parse_degree_set
@@ -135,8 +136,8 @@ def closed_forms() -> list[VerifyCheck]:
 
 def exact_constants() -> list[VerifyCheck]:
     """Exact rational kernel weights e1, e2 and planar c3 < e3."""
-    e1, e2, e3 = wright_e(1), wright_e(2), wright_e(3)
-    c3 = planar_c(3)
+    _, e1, e2, e3 = islice(_wright_e_series(), 4)
+    c3 = PLANAR_KERNEL_WEIGHTS[3]
     return [
         _check(
             "connected-kernel weights",
@@ -157,7 +158,8 @@ def classical_identities() -> list[VerifyCheck]:
     survival = root_2pi * bigA_classical(0.5, 0.0)
     err = abs(survival - math.sqrt(2.0 / 3.0))
     total = root_2pi * math.fsum(
-        float(wright_e(q)) * bigA_classical(3 * q + 0.5, 0.0) for q in range(21)
+        float(e) * bigA_classical(3 * q + 0.5, 0.0)
+        for q, e in zip(range(21), _wright_e_series())
     )
     left = abs(bigA_classical(0.5, -8.0) / bigA_asymptotic(0.5, -8.0, "minus") - 1.0)
     series = bigA_classical(0.5, 8.0)

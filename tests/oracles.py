@@ -4,9 +4,9 @@ The graph and sequence oracles work directly on vertex/edge lists with
 exponential or exhaustive algorithms, or with networkx, and deliberately
 share no logic with the package's kernel-based pipeline or its log-space DP:
 these are the refereeing implementations, kept slow and obvious.  The only
-package code they touch is the ``Graph`` record, and the JSONL wire format
-they read and write.  The window-function helpers at the
-end are the exception: ``bigB`` and ``printed_window_form`` are built from
+package code they touch is the ``Graph`` record (its edge list: they build
+their own adjacency from it), and the JSONL wire format they read and
+write.  The window-function helpers at the end are the exception: ``bigB`` and ``printed_window_form`` are built from
 the package's own series evaluator, so they record the paper's printed forms
 rather than referee the series.
 """
@@ -38,10 +38,19 @@ def nx_components(g: Graph) -> list[tuple[list[int], int]]:
     ]
 
 
+def induced_adjacency(g: Graph, verts) -> dict[int, set[int]]:
+    """Neighbour sets of the subgraph induced by ``verts``, from ``g.edges``."""
+    adj: dict[int, set[int]] = {v: set() for v in verts}
+    for u, v in g.edges:
+        if u in adj and v in adj:
+            adj[u].add(v)
+            adj[v].add(u)
+    return adj
+
+
 def brute_longest_path(g: Graph, verts) -> int:
     """Longest simple path (edge count) inside the induced subgraph."""
-    verts = set(verts)
-    adj = {v: [w for w in g.adj[v] if w in verts] for v in verts}
+    adj = induced_adjacency(g, verts)
     best = 0
 
     def dfs(v, visited, length):
@@ -53,15 +62,14 @@ def brute_longest_path(g: Graph, verts) -> int:
                 dfs(w, visited, length + 1)
                 visited.remove(w)
 
-    for v in sorted(verts):
+    for v in sorted(adj):
         dfs(v, {v}, 0)
     return best
 
 
 def brute_circumference(g: Graph, verts) -> int:
     """Longest simple cycle (edge count) inside the induced subgraph."""
-    verts = set(verts)
-    adj = {v: [w for w in g.adj[v] if w in verts] for v in verts}
+    adj = induced_adjacency(g, verts)
     best = 0
 
     def dfs(start, v, visited, length):
@@ -74,29 +82,65 @@ def brute_circumference(g: Graph, verts) -> int:
                 dfs(start, w, visited, length + 1)
                 visited.remove(w)
 
-    for v in sorted(verts):
+    for v in sorted(adj):
         dfs(v, v, {v}, 0)
     return best
 
 
 def brute_diameter(g: Graph, verts) -> int:
-    """Largest BFS eccentricity over the induced components; -1 if empty."""
-    verts = set(verts)
+    """Largest BFS eccentricity over the induced subgraph; -1 if empty."""
+    adj = induced_adjacency(g, verts)
     best = -1
-    for comp, _ in nx_components(g):
-        cv = set(comp) & verts
-        if not cv:
-            continue
-        for s in cv:
-            dist = {s: 0}
-            queue = [s]
-            for v in queue:
-                for w in g.adj[v]:
-                    if w in cv and w not in dist:
-                        dist[w] = dist[v] + 1
-                        queue.append(w)
-            best = max(best, max(dist.values()))
+    for s in adj:
+        dist = {s: 0}
+        queue = [s]
+        for v in queue:
+            for w in adj[v]:
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    queue.append(w)
+        best = max(best, max(dist.values()))
     return best
+
+
+def contract_chains(g: Graph, verts) -> tuple[list[int], list[tuple]]:
+    """Corners and chains of the 2-core of the subgraph induced by ``verts``,
+    by networkx.
+
+    The 2-core is ``nx.k_core``, the corners are its vertices of degree >= 3,
+    and a chain is either an edge between two corners or one component of
+    the 2-core with the corners taken out: a path whose two ends hang from
+    corners.  Chains are sorted (u, v, length, interior) tuples with u <= v
+    and the interior listed from u; a loop (u == v) lists its interior from
+    its smaller end.  Components of the 2-core without a corner (cycles)
+    have no chains.
+    """
+    verts = set(verts)
+    gx = nx.Graph((u, v) for u, v in g.edges if u in verts and v in verts)
+    core = nx.k_core(gx, 2)
+    corners = sorted(v for v in core if core.degree(v) >= 3)
+    corner_set = set(corners)
+    chains = [
+        (min(u, v), max(u, v), 1, ())
+        for u, v in core.edges
+        if u in corner_set and v in corner_set
+    ]
+    inner = core.subgraph(set(core) - corner_set)
+    for comp in nx.connected_components(inner):
+        path = inner.subgraph(comp)
+        ends = [v for v in comp if path.degree(v) <= 1]
+        if not ends:
+            continue
+        seq = nx.shortest_path(path, ends[0], ends[-1])
+        if len(seq) == 1:
+            head, tail = sorted(core[seq[0]])
+        else:
+            (head,) = (w for w in core[seq[0]] if w not in comp)
+            (tail,) = (w for w in core[seq[-1]] if w not in comp)
+        if (head, seq[0]) > (tail, seq[-1]):
+            head, tail, seq = tail, head, seq[::-1]
+        chains.append((head, tail, len(seq) + 1, tuple(seq)))
+    return corners, sorted(chains)
 
 
 def brute_planar(g: Graph, verts) -> bool:
@@ -389,6 +433,16 @@ def oracle_series_sum(x, y, max_terms: int = 20000):
             below = 0
         coeff = coeff * x / (k + 1)
     raise ConvergenceError(f"oracle series did not converge within {max_terms} terms")
+
+
+def wright_e(q: int) -> Fraction:
+    """Total compensation weight of the cubic multigraphs with excess q, by
+    its factorial closed form e_{q,0} = (6q)! / (2^{5q} 3^{2q} (3q)! (2q)!):
+    the reference for the exact running ratio the package sums."""
+    return Fraction(
+        math.factorial(6 * q),
+        (2 ** (5 * q)) * (3 ** (2 * q)) * math.factorial(3 * q) * math.factorial(2 * q),
+    )
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from degwin import verify
-from degwin.asymptotics import PLANAR_Q_MAX, planar_c, predict, wright_e
+from degwin.asymptotics import PLANAR_KERNEL_WEIGHTS, PLANAR_Q_MAX, predict
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
 from degwin.harness import (
@@ -62,6 +62,7 @@ from oracles import (
     ladder_fit,
     printed_window_form,
     random_complex_graph,
+    wright_e,
 )
 
 SEED = 20260825
@@ -410,7 +411,8 @@ def test_criterion_11_variant_adjudication():
                 ]
                 weights = [float(wright_e(q)) * a for q, a in enumerate(window)]
                 planar = math.fsum(
-                    float(planar_c(q)) * window[q] for q in range(PLANAR_Q_MAX + 1)
+                    float(PLANAR_KERNEL_WEIGHTS[q]) * window[q]
+                    for q in range(PLANAR_Q_MAX + 1)
                 )
                 total = math.fsum(weights)
                 want = tuple(w / total for w in weights) + (planar / total,)

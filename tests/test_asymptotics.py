@@ -15,20 +15,25 @@ from degwin.asymptotics import (
     _series_sum,
     _window_sums,
     _window_x,
+    PLANAR_KERNEL_WEIGHTS,
     _wright_e_series,
     bigA_asymptotic,
     bigA_classical,
-    planar_c,
     predict,
     rejection_rate,
     twopath_constants,
-    wright_e,
 )
 from degwin.critical import critical_point
 from degwin.degset import parse_degree_set
 from degwin.errors import ConvergenceError, OutOfRangeError
 
-from oracles import bigB, oracle_series_sum, oracle_window_series, printed_window_form
+from oracles import (
+    bigB,
+    oracle_series_sum,
+    oracle_window_series,
+    printed_window_form,
+    wright_e,
+)
 
 FAMILIES = ("1,3", "1,2,3", "0,1,4,5", "1,3,5,7")
 
@@ -67,23 +72,25 @@ def _cp(spec):
 
 class TestKernelWeights:
     def test_known_values(self):
-        assert wright_e(0) == 1
-        assert wright_e(1) == Fraction(5, 24)
-        assert wright_e(2) == Fraction(385, 1152)
-        assert wright_e(3) == Fraction(85085, 82944)
+        series = _wright_e_series()
+        assert [next(series) for _ in range(4)] == [
+            1,
+            Fraction(5, 24),
+            Fraction(385, 1152),
+            Fraction(85085, 82944),
+        ]
 
     def test_domain(self):
         # e_q = (6q-1)!! / ((2q)! 6^{2q}): the weighted count of cubic
         # configuration pairings on 2q vertices.
         double_factorial = 1
+        series = _wright_e_series()
         for q in range(201):
             if q:
                 for odd in range(6 * q - 5, 6 * q, 2):
                     double_factorial *= odd
             want = Fraction(double_factorial, math.factorial(2 * q) * 6 ** (2 * q))
-            assert wright_e(q) == want
-        with pytest.raises(ValueError, match="q >= 0"):
-            wright_e(-1)
+            assert next(series) == want
 
     def test_running_ratio_is_the_closed_form(self):
         # predict carries e_q by its exact ratio to e_{q-1}.
@@ -92,17 +99,13 @@ class TestKernelWeights:
 
     def test_planar_matches_connected_through_excess_two(self):
         for q in range(3):
-            assert planar_c(q) == wright_e(q)
+            assert PLANAR_KERNEL_WEIGHTS[q] == wright_e(q)
 
     @pytest.mark.parametrize("q", [3, 4])
     def test_planar_strictly_smaller_beyond(self, q):
-        assert 0 < planar_c(q) < wright_e(q)
-        assert planar_c(3) == Fraction(83933, 82944)
-        assert planar_c(4) == Fraction(35002561, 7962624)
-
-    def test_planar_tabulation_ends(self):
-        with pytest.raises(LookupError, match="q <= 4"):
-            planar_c(5)
+        assert 0 < PLANAR_KERNEL_WEIGHTS[q] < wright_e(q)
+        assert PLANAR_KERNEL_WEIGHTS[3] == Fraction(83933, 82944)
+        assert PLANAR_KERNEL_WEIGHTS[4] == Fraction(35002561, 7962624)
 
 
 class TestWindowSeries:

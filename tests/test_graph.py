@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from degwin.graph import (
     Graph,
+    adjacency,
     compensation_factor,
     component_labels,
     from_jsonl_line,
@@ -19,6 +20,8 @@ from degwin.graph import (
 )
 
 from oracles import (
+    contract_chains,
+    induced_adjacency,
     nx_components,
     random_complex_graph,
     random_simple_graph,
@@ -50,13 +53,19 @@ def dumbbell() -> Graph:
     return Graph(6, [(1, 3), (3, 4), (1, 4), (2, 5), (5, 6), (2, 6), (1, 2)])
 
 
+def peel_of(g: Graph):
+    """The peel of the whole graph."""
+    return two_core(adjacency(g, range(1, g.n + 1)))
+
+
 def complex_kernels(g: Graph):
     """(vertices, excess, peel, kernel) of each complex component."""
-    peel = two_core(g, range(1, g.n + 1))
-    sprouts = sprout_data(g, peel)
+    adj = adjacency(g, range(1, g.n + 1))
+    peel = two_core(adj)
+    sprouts = sprout_data(peel)
     for verts, edge_count in nx_components(g):
         if edge_count > len(verts):
-            yield verts, edge_count - len(verts), peel, kernel(g, verts, peel, sprouts)
+            yield verts, edge_count - len(verts), peel, kernel(adj, verts, peel, sprouts)
 
 
 def kernel_degree(k, v: int) -> int:
@@ -66,9 +75,10 @@ def kernel_degree(k, v: int) -> int:
 
 def filter_core(g: Graph) -> set[int]:
     """Reference 2-core: keep filtering out vertices of degree <= 1."""
-    alive = set(range(1, g.n + 1))
+    adj = induced_adjacency(g, range(1, g.n + 1))
+    alive = set(adj)
     while True:
-        deg = {v: sum(1 for w in g.adj[v] if w in alive) for v in alive}
+        deg = {v: len(adj[v] & alive) for v in alive}
         drop = {v for v in alive if deg[v] <= 1}
         if not drop:
             return alive
@@ -80,8 +90,18 @@ class TestGraph:
         g = Graph(4, [(3, 1), (2, 4), (1, 2)])
         assert g.edges == ((1, 2), (1, 3), (2, 4))
         assert g.m == 3
-        assert len(g.adj[1]) == 2
-        assert g.adj[1] == (2, 3)
+        assert adjacency(g, range(1, 5)) == {1: [2, 3], 2: [1, 4], 3: [1], 4: [2]}
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10_000))
+    def test_adjacency_is_induced_and_ascending(self, seed):
+        rng = random.Random(seed)
+        n = rng.randint(1, 14)
+        g = random_simple_graph(rng, n, rng.randint(0, n * (n - 1) // 2))
+        verts = rng.sample(range(1, n + 1), rng.randint(0, n))
+        adj = adjacency(g, verts)
+        assert list(adj) == sorted(verts)
+        assert adj == {v: sorted(ws) for v, ws in induced_adjacency(g, verts).items()}
 
     def test_equality_and_hash(self):
         a = Graph(3, [(1, 2)])
@@ -114,7 +134,8 @@ class TestGraph:
         assert a == b
         assert hash(a) == hash(b)
         assert a.edges == b.edges == g.edges
-        assert a.adj == b.adj
+        everything = range(1, n + 1)
+        assert adjacency(a, everything) == adjacency(b, everything)
         assert a.m == b.m == len(pairs)
         for arr in (a.u, a.v, b.u, b.v):
             assert arr.dtype == np.int64
@@ -133,14 +154,14 @@ class TestComponents:
                 edges.append((base + u, base + v))
         g = Graph(base + 4, edges)
         labels, sizes, edge_counts = component_labels(g)
-        # Labels number the components in order of their smallest vertex.
-        assert labels[[1, 3, 6, base + 1]].tolist() == [0, 1, 2, 3]
-        assert sizes.tolist() == [2, 3, theta.n, 4]
-        assert (edge_counts - sizes).tolist() == [-1, 0, 1, 2]
+        comps = labels[[1, 3, 6, base + 1]]
+        assert sorted(comps.tolist()) == list(range(4))
+        assert sizes[comps].tolist() == [2, 3, theta.n, 4]
+        assert (edge_counts - sizes)[comps].tolist() == [-1, 0, 1, 2]
 
     def test_empty_graph(self):
         labels, sizes, edge_counts = component_labels(Graph(5, []))
-        assert labels[1:].tolist() == [0, 1, 2, 3, 4]
+        assert sorted(labels[1:].tolist()) == [0, 1, 2, 3, 4]
         assert sizes.tolist() == [1] * 5
         assert edge_counts.tolist() == [0] * 5
 
@@ -152,34 +173,45 @@ class TestComponents:
     def test_partition(self):
         g = random_simple_graph(random.Random(5), 12, 14)
         labels, sizes, edge_counts = component_labels(g)
-        # The labels split the vertices and edges as networkx's components do.
-        comps = nx_components(g)
-        got = [np.flatnonzero(labels == c).tolist() for c in range(sizes.size)]
-        assert got == [verts for verts, _ in comps]
-        assert sizes.tolist() == [len(verts) for verts, _ in comps]
-        assert edge_counts.tolist() == [edge_count for _, edge_count in comps]
+        # The labels split the vertices and edges as networkx's components
+        # do, whatever order they number the components in.
+        got = sorted(
+            (np.flatnonzero(labels == c).tolist(), int(sizes[c]), int(edge_counts[c]))
+            for c in range(sizes.size)
+        )
+        want = [(verts, len(verts), edge_count) for verts, edge_count in nx_components(g)]
+        assert got == want
         assert int(edge_counts.sum()) == g.m
 
 
 class TestTwoCore:
     def test_tree_peels_away(self):
-        g = Graph(5, [(1, 2), (2, 3), (2, 4), (4, 5)])
-        peel = two_core(g, range(1, 6))
+        peel = peel_of(Graph(5, [(1, 2), (2, 3), (2, 4), (4, 5)]))
         assert peel.core_vertices == frozenset()
         assert sorted(peel.order) == [1, 2, 3, 4, 5]
 
     def test_cycle_with_pendant_path(self):
-        g = Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)])
-        peel = two_core(g, range(1, 6))
+        peel = peel_of(Graph(5, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5)]))
         assert peel.core_vertices == frozenset({1, 2, 3})
-        assert peel.parent[5] == 4
-        assert peel.parent[4] == 3
+        assert peel.children == {4: [5], 3: [4]}
 
     def test_isolated_vertex_has_no_parent(self):
-        peel = two_core(Graph(2, [(1, 2)]), range(1, 3))
+        peel = peel_of(Graph(2, [(1, 2)]))
         assert peel.core_vertices == frozenset()
         late = peel.order[1]
-        assert peel.parent[late] is None
+        assert all(late not in kids for kids in peel.children.values())
+        assert peel.children == {late: [peel.order[0]]}
+
+    def test_children_in_removal_order(self):
+        # Triangle 1-2-3 with the leaves 4, 5 and the path 6-7 hung at 3, and
+        # the leaf 8 at 1.  The peel seeds 4, 5, 7, 8 (lowest first), then
+        # takes 6 once 7 is gone: each vertex is listed under the neighbour
+        # it hung from, in the order the vertices went.
+        g = Graph(8, [(1, 2), (2, 3), (1, 3), (3, 4), (3, 5), (3, 6), (6, 7), (1, 8)])
+        peel = peel_of(g)
+        assert peel.order == (4, 5, 7, 8, 6)
+        assert peel.children == {3: [4, 5, 6], 6: [7], 1: [8]}
+        assert peel.core_vertices == frozenset({1, 2, 3})
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -189,7 +221,20 @@ class TestTwoCore:
         m = rng.randint(0, min(2 * n, n * (n - 1) // 2))
         g = random_simple_graph(rng, n, m)
         want = filter_core(g)
-        assert two_core(g, range(1, n + 1)).core_vertices == frozenset(want)
+        peel = peel_of(g)
+        assert peel.core_vertices == frozenset(want)
+        # Each peeled vertex is listed at most once, under a neighbour that
+        # outlived it, and every list keeps the removal order.
+        adj = induced_adjacency(g, range(1, n + 1))
+        rank = {v: i for i, v in enumerate(peel.order)}
+        listed = [v for kids in peel.children.values() for v in kids]
+        assert len(listed) == len(set(listed))
+        assert set(listed) <= set(peel.order)
+        for w, kids in peel.children.items():
+            assert kids == sorted(kids, key=rank.get)
+            for v in kids:
+                assert w in adj[v]
+                assert w in peel.core_vertices or rank[w] > rank[v]
 
 
 class TestSprouts:
@@ -197,18 +242,17 @@ class TestSprouts:
         # Triangle 1-2-3 with the path 3-4-5-6 and the leaf 3-7 sprouting at
         # 3: the tree-only path 6-5-4-3-7 joins two branches at 3.
         g = Graph(7, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (3, 7)])
-        sprouts = sprout_data(g, two_core(g, range(1, 8)))
+        sprouts = sprout_data(peel_of(g))
         assert sprouts.height1 == {3: 3}
         assert sprouts.tree_path == {3: 4}
         # One tree at 3 whose inside, 6-5-4-8-9, beats its height 3.
         g = Graph(9, [(1, 2), (2, 3), (1, 3), (3, 4), (4, 5), (5, 6), (4, 8), (8, 9)])
-        sprouts = sprout_data(g, two_core(g, range(1, 10)))
+        sprouts = sprout_data(peel_of(g))
         assert sprouts.height1 == {3: 3}
         assert sprouts.tree_path == {3: 4}
 
     def test_no_sprouts(self):
-        g = theta_graph()
-        sprouts = sprout_data(g, two_core(g, range(1, g.n + 1)))
+        sprouts = sprout_data(peel_of(theta_graph()))
         assert sprouts.height1 == {}
         assert sprouts.tree_path == {}
 
@@ -249,9 +293,10 @@ class TestKernel:
     def test_requires_complex_component(self):
         # A unicycle's 2-core is one cycle, and a tree's is empty.
         for g in (Graph(3, [(1, 2), (2, 3), (1, 3)]), Graph(3, [(1, 2), (2, 3)])):
-            peel = two_core(g, range(1, 4))
+            adj = adjacency(g, range(1, 4))
+            peel = two_core(adj)
             with pytest.raises(ValueError, match="complex"):
-                kernel(g, range(1, 4), peel, sprout_data(g, peel))
+                kernel(adj, range(1, 4), peel, sprout_data(peel))
 
     def test_tree_data_attached(self):
         # Pendant path of length 2 at the chain-interior vertex 3 of a theta,
@@ -262,6 +307,25 @@ class TestKernel:
         ((*_, k),) = complex_kernels(g)
         assert k.tree_height == {3: 2, 5: 2}
         assert k.tree_path == 3
+
+    def test_matches_chain_oracle(self):
+        # networkx's 2-core, split at the corners, against the chain walk.
+        # The fixtures and the sparse random graphs between them have loops,
+        # parallel chains and chains of one edge.
+        shapes = {"loop": 0, "parallel": 0, "one edge": 0}
+        rng = random.Random(24)
+        graphs = [theta_graph(), figure_eight(), dumbbell(), theta_graph((1, 3, 3))]
+        graphs += [random_complex_graph(rng, 4, 30) for _ in range(300)]
+        for g in graphs:
+            for verts, _, _, k in complex_kernels(g):
+                corners, chains = contract_chains(g, verts)
+                assert k.vertices == tuple(corners)
+                assert [(e.u, e.v, e.length, e.interior) for e in k.edges] == chains
+                ends = [(e.u, e.v) for e in k.edges if e.u != e.v]
+                shapes["loop"] += sum(e.u == e.v for e in k.edges)
+                shapes["parallel"] += len(ends) - len(set(ends))
+                shapes["one edge"] += sum(e.length == 1 for e in k.edges)
+        assert all(count > 0 for count in shapes.values()), shapes
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10_000))

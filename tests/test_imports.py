@@ -1,8 +1,8 @@
 """Every import of the package is used where it is made, every error class
 has a user, every name the package defines (private or public, module-level,
 method or property) and every dataclass field is read by the package itself,
-the theory commands start without the graph libraries, and a module loads
-only the modules it imports.
+every parameter is read by its function, the theory commands start without
+the graph libraries, and a module loads only the modules it imports.
 
 A public name or field that only the tests read belongs in the tests; the
 few kept without a reader in the package are listed in ``UNREAD_PUBLIC`` and
@@ -181,6 +181,37 @@ def test_every_field_is_read():
         if cls != "PointAggregate" and name not in read
     ]
     assert sorted(unread_fields) == sorted(UNREAD_FIELDS)
+
+
+def unread_parameters() -> list[str]:
+    """``module.function(parameter)`` for every parameter of a package
+    function or method that its body never reads.  ``self`` and ``cls`` are
+    left out, and so are lambdas: ``lambda d: True`` is a rule that accepts
+    every degree."""
+    found = []
+    for module, tree in sorted(package_trees().items()):
+        for fn in (node for node in ast.walk(tree) if isinstance(node, FUNCTIONS)):
+            args = fn.args
+            params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
+            params += [a for a in (args.vararg, args.kwarg) if a is not None]
+            read = {
+                node.id
+                for stmt in fn.body
+                for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            }
+            found += [
+                f"{module}.{fn.name}({a.arg})"
+                for a in params
+                if a.arg not in ("self", "cls") and a.arg not in read
+            ]
+    return found
+
+
+def test_every_parameter_is_read():
+    # A parameter that the body never reads makes every caller build and pass
+    # something for nobody.
+    assert unread_parameters() == []
 
 
 def modules_loaded_by(code: str) -> set[str]:
