@@ -11,11 +11,11 @@ from hypothesis import given, settings, strategies as st
 from degwin import asymptotics
 from degwin.asymptotics import (
     MU_SERIES_LIMIT,
+    PLANAR_KERNEL_WEIGHTS,
     _bigB_mp,
     _series_sum,
     _window_sums,
     _window_x,
-    PLANAR_KERNEL_WEIGHTS,
     _wright_e_series,
     bigA_asymptotic,
     bigA_classical,

@@ -198,9 +198,9 @@ class TestTwoCore:
     def test_isolated_vertex_has_no_parent(self):
         peel = peel_of(Graph(2, [(1, 2)]))
         assert peel.core_vertices == frozenset()
-        late = peel.order[1]
-        assert all(late not in kids for kids in peel.children.values())
-        assert peel.children == {late: [peel.order[0]]}
+        # 1 hangs from 2, and 2 goes last, at degree 0, listed under no one.
+        assert peel.order == (1, 2)
+        assert peel.children == {2: [1]}
 
     def test_children_in_removal_order(self):
         # Triangle 1-2-3 with the leaves 4, 5 and the path 6-7 hung at 3, and
