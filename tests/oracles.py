@@ -6,9 +6,10 @@ share no logic with the package's kernel-based pipeline or its log-space DP:
 these are the refereeing implementations, kept slow and obvious.  The only
 package code they touch is the ``Graph`` record (its edge list: they build
 their own adjacency from it), and the JSONL wire format they read and
-write.  The window-function helpers at the end are the exception: ``bigB`` and ``printed_window_form`` are built from
-the package's own series evaluator, so they record the paper's printed forms
-rather than referee the series.
+write.  The window-function helpers at the end are the exception: ``bigB``
+and ``printed_window_form`` are built from the package's own series
+evaluator, so they record the paper's printed forms rather than referee the
+series.
 """
 
 from __future__ import annotations
